@@ -1,19 +1,16 @@
-"""Ablation: batched-GEMM round fusion and stream overlap.
+"""Ablation: batched-GEMM round fusion.
 
-Five configurations of the same workload (operand cache on throughout, so
+Four configurations of the same workload (operand cache on throughout, so
 the tensor3 sweep count is already minimal and the launch ablation
-isolates the tensor4 round GEMMs this PR fuses):
+isolates the fused tensor4 round GEMMs):
 
-- ``serial``          — ``batch_rounds=1``, no overlap: the legacy
-  round-at-a-time loop, the pre-fusion baseline;
-- ``batch=4/8/16``    — the batched pipeline at increasing fusion widths
-  (launches collapse, logical problems stay constant);
-- ``batch=8+overlap`` — adds double-buffered operand staging on a host
-  stream (``n_streams=2``), overlapping staging with scoring.
+- ``serial``       — ``batch_rounds=1``: the round-at-a-time loop, the
+  pre-fusion baseline;
+- ``batch=4/8/16`` — round groups of increasing fusion width (launches
+  collapse, logical problems stay constant).
 
-Reported per cell: total wall, fused launch counts per kernel, the
-launch-collapse factor vs serial, and the staged-overlap seconds.  Hard
-bars:
+Reported per cell: total wall, fused launch counts per kernel and the
+launch-collapse factor vs serial.  Hard bars:
 
 - every cell's ranked top-k digest (``top_k_sha256``) is identical —
   fusion must not move a single result bit;
@@ -48,17 +45,16 @@ BLOCK = 4
 RESULTS_PATH = Path(__file__).with_name("BENCH_batching.json")
 
 CELLS = [
-    ("serial", dict(batch_rounds=1, overlap=False)),
+    ("serial", dict(batch_rounds=1)),
     ("batch=4", dict(batch_rounds=4)),
     ("batch=8", dict(batch_rounds=8)),
     ("batch=16", dict(batch_rounds=16)),
-    ("batch=8+overlap", dict(batch_rounds=8, n_streams=2)),
 ]
 
 
 def _run(ds, extra):
-    # prune=False: the closed-form launch counts assume eager sweep
-    # staging; the bound gate stages sweeps lazily for survivors only.
+    # prune=False keeps the score work exhaustive, as in the earlier
+    # entries of BENCH_batching.json.
     config = SearchConfig(
         block_size=BLOCK, top_k=5, cache_mb=float("inf"), prune=False, **extra
     )
@@ -66,7 +62,7 @@ def _run(ds, extra):
     start = time.perf_counter()
     result = search.run()
     wall = time.perf_counter() - start
-    return search, result, wall
+    return result, wall
 
 
 def test_batching_ablation(benchmark):
@@ -77,18 +73,17 @@ def test_batching_ablation(benchmark):
 
     runs = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    digests = {label: solutions_digest(r.top_solutions) for label, _, r, _ in runs}
-    nb = runs[0][2].block_scheme.n_snps // BLOCK
+    digests = {label: solutions_digest(r.top_solutions) for label, r, _ in runs}
+    nb = runs[0][1].block_scheme.n_snps // BLOCK
 
     rows, records = [], []
     serial_launches = sum(
-        runs[0][2].counters.launches[k] for k in ("tensor3", "tensor4")
+        runs[0][1].counters.launches[k] for k in ("tensor3", "tensor4")
     )
-    for (label, extra), (_, search, result, wall) in zip(CELLS, runs):
+    for (label, extra), (_, result, wall) in zip(CELLS, runs):
         t3 = result.counters.launches["tensor3"]
         t4 = result.counters.launches["tensor4"]
         collapse = serial_launches / (t3 + t4)
-        overlap_s = search.metrics.total("epi4_stage_overlap_seconds_total")
         rows.append(
             [
                 label,
@@ -97,27 +92,24 @@ def test_batching_ablation(benchmark):
                 t3,
                 t3 + t4,
                 f"{collapse:5.2f}x",
-                f"{overlap_s:7.3f}",
             ]
         )
         records.append(
             {
                 "config": label,
                 "batch_rounds": extra.get("batch_rounds", 1),
-                "n_streams": extra.get("n_streams", 1),
                 "wall_seconds": wall,
                 "tensor4_launches": t4,
                 "tensor3_launches": t3,
                 "launch_collapse_vs_serial": collapse,
                 "tensor4_problems": result.counters.gemm_problems["tensor4"],
-                "stage_overlap_seconds": overlap_s,
                 "top_k_sha256": digests[label],
             }
         )
 
     print_table(
         f"round batching ablation (M={N_SNPS}, N={N_SAMPLES}, B={BLOCK})",
-        ["config", "wall s", "t4", "t3", "total", "collapse", "overlap s"],
+        ["config", "wall s", "t4", "t3", "total", "collapse"],
         rows,
     )
 
@@ -142,7 +134,6 @@ def test_batching_ablation(benchmark):
     # The headline bar: >=4x total launch collapse at batch_rounds=8.
     by_label = {rec["config"]: rec for rec in records}
     assert by_label["batch=8"]["launch_collapse_vs_serial"] >= 4.0
-    assert by_label["batch=8+overlap"]["launch_collapse_vs_serial"] >= 4.0
 
     # --- persist --------------------------------------------------------- #
     history = []

@@ -112,17 +112,6 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
         "bit-identical for any value)",
     )
     p.add_argument(
-        "--n-streams", type=int, default=1, metavar="S",
-        help="concurrent rounds per device: feeds the stream performance "
-        "model and, unless --no-overlap, stages S-1 round groups ahead "
-        "on a host stream while the current group scores",
-    )
-    p.add_argument(
-        "--no-overlap", action="store_true",
-        help="disable stage/score overlap (operand staging then runs "
-        "inline on the scoring thread; results are bit-identical)",
-    )
-    p.add_argument(
         "--host-threads", type=int, default=None, metavar="T",
         help="host worker threads driving the devices (default: one per "
         "GPU, capped at the host CPU count)",
@@ -330,8 +319,6 @@ def _search_config_from_args(args: argparse.Namespace):
         autotune=args.autotune,
         cache_mb=args.cache_mb,
         batch_rounds=args.batch_rounds,
-        n_streams=args.n_streams,
-        overlap=not args.no_overlap,
         host_threads=args.host_threads,
         max_retries=args.max_retries,
         backoff_base_ms=args.backoff_base_ms,
@@ -550,27 +537,20 @@ def _cmd_search(args: argparse.Namespace) -> int:
         pruned = result.metrics.total("epi4_prune_quads_total")
         if pruned:
             survivors = result.metrics.total("epi4_applyscore_valid_total")
-            elided = result.metrics.total("epi4_prune_rounds_total")
             frac = pruned / max(1.0, pruned + survivors)
-            line = (f"pruning   : {pruned:.0f} quads ({100 * frac:.1f}% of "
-                    f"mask-valid) bound-pruned before completion")
-            if elided:
-                line += f", {elided:.0f} whole rounds elided"
-            print(line)
+            print(f"pruning   : {pruned:.0f} quads ({100 * frac:.1f}% of "
+                  f"mask-valid) bound-pruned before completion")
             synced = result.metrics.total("epi4_prune_sync_total")
             if synced:
                 print(f"prunesync : {synced:.0f} cross-shard threshold "
                       f"exchange(s) every {config.prune_sync_rounds} rounds")
-        if config.batch_rounds > 1 or config.n_streams > 1:
+        if config.batch_rounds > 1:
             launches = result.counters.launches
             problems = result.counters.gemm_problems
             t4 = launches.get("tensor4", 0)
             t4_problems = problems.get("tensor4", t4)
-            overlap_s = result.metrics.total("epi4_stage_overlap_seconds_total")
             print(f"batching  : {t4_problems} tensor4 GEMMs in {t4} launches "
-                  f"(batch_rounds={config.batch_rounds}, "
-                  f"n_streams={config.n_streams}, "
-                  f"{overlap_s:.2f}s staged off the scoring thread)")
+                  f"(batch_rounds={config.batch_rounds})")
         if search.autotune_decision is not None:
             dec = search.autotune_decision
             tuned = f"chunk_cells={dec.max_chunk_cells}"

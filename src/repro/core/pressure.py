@@ -12,7 +12,7 @@ ladder and the failed iteration is retried at the reduced footprint.
 The ladder (cumulative, in order)::
 
     level 1  shrink the round-operand cache budget to half
-    level 2  halve batch_rounds (less stager double-buffering)
+    level 2  halve batch_rounds (smaller resident round groups)
     level 3  halve max_chunk_cells (smaller applyScore tiles)
     level 4  disable the cross-round triplet cache
 

@@ -29,13 +29,10 @@ result-preserving:
   ``host_threads > 1`` the per-GPU loops actually run concurrently
   (NumPy's BLAS and bit-ops release the GIL, so ``dense``-mode rounds
   overlap for a real wall-clock win on multicore hosts).
-- a **batched round pipeline**: with ``batch_rounds > 1`` the ``yz``
-  combines and 4-way GEMMs of consecutive rounds sharing one
-  ``(Wi, Xi)`` pair are fused into wide batched launches (§3.3
-  launch-overhead amortization), and with ``overlap`` + ``n_streams > 1``
-  a double-buffered operand stager prepares round group ``r+1`` on a
-  :class:`~repro.device.streams.HostStream` while group ``r`` scores on
-  the calling thread.
+- **batched rounds**: with ``batch_rounds > 1`` the ``yz`` combines and
+  4-way GEMMs of consecutive rounds sharing one ``(Wi, Xi)`` pair are
+  fused into wide batched launches (§3.3 launch-overhead amortization);
+  the rounds then score one by one on the calling thread.
 
 The tensor GEMMs run for real (exact integer results); device time is
 *accounted*, not emulated — see :mod:`repro.device` and
@@ -49,7 +46,6 @@ import os
 import random
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -65,7 +61,6 @@ from repro.core.apply_score import (
     DEFAULT_MAX_CHUNK_CELLS,
     RoundOperands,
     apply_score_dense,
-    round_validity_mask,
     score_round,
 )
 from repro.core.autotune import AutotuneDecision, autotune_applyscore
@@ -102,7 +97,6 @@ from repro.device.faults import (
 )
 from repro.device.memory import DeviceMemoryError
 from repro.device.specs import A100_PCIE, GPUSpec
-from repro.device.streams import HostStream, stage_lookahead
 from repro.device.virtual_gpu import KernelCounters, VirtualGPU
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -110,7 +104,7 @@ from repro.perfmodel.workload import outer_iteration_tensor_ops
 from repro.scoring import make_score
 from repro.tensor.and_popc import dense_acc_dtype
 from repro.scoring.base import ScoreFunction, normalized_for_minimization
-from repro.scoring.bounds import PRUNE_SLACK, K2BoundKernel
+from repro.scoring.bounds import K2BoundKernel
 from repro.scoring.k2 import K2Score
 from repro.scoring.lgamma_table import LgammaTable
 from repro.utils.timing import Timer
@@ -127,12 +121,6 @@ class SearchConfig:
             device's native kind).
         engine_mode: ``"dense"`` (BLAS path) or ``"packed"`` (bitwise path).
         score: a :class:`~repro.scoring.ScoreFunction` or registry name.
-        n_streams: concurrent evaluation rounds per device.  Always feeds
-            the §4.4 stream model on the projected-time side; with
-            ``overlap`` enabled it is also a real execution knob —
-            ``n_streams - 1`` round groups are staged ahead on a host
-            stream while the current group scores.  Results are identical
-            for any value.
         sample_chunk_bits: if set, split every tensor GEMM's sample (K)
             dimension into chunks of this many bits and sum the partial
             corners — the paper's mitigation for the Turing large-``N``
@@ -189,14 +177,11 @@ class SearchConfig:
             group.  ``1`` reproduces the seed loop launch-for-launch;
             larger values stack the ``yz`` operands of consecutive rounds
             sharing one ``(Wi, Xi)`` pair into a single wide GEMM, so
-            per-launch overhead is amortized over the group (§3.3).
-            Results are bit-identical for any value — integer corner
-            counts do not depend on GEMM blocking.
-        overlap: let the operand stager prepare the next round group on
-            an in-order host stream while the current group scores
-            (double buffering; active only when ``n_streams > 1``).
-            Results are bit-identical either way — staging is strictly
-            in submission order.
+            per-launch overhead is amortized over the group (§3.3).  One
+            group's operands and corners are resident at a time.  Results
+            are bit-identical for any value — integer corner counts do not
+            depend on GEMM blocking.  (The §4.4 concurrent-stream lever is
+            modelled only: ``predict_search(n_streams=...)``.)
         deadline_ms: per-launch hang watchdog deadline in milliseconds
             (``None`` disarms the watchdog, the default).  A launch that
             exceeds the deadline is cancelled and surfaces as a
@@ -221,9 +206,9 @@ class SearchConfig:
             run.  Only the thread-parallel executor parks and readmits
             workers; the sequential replay ignores probation.
         prune: enable the admissible branch-and-bound gate (see
-            :mod:`repro.scoring.bounds`): quads — and, in the pipelined
-            loop, whole rounds — whose K2 lower bound exceeds the current
-            top-k threshold are dropped before completion and scoring.
+            :mod:`repro.scoring.bounds`): quads whose K2 lower bound
+            exceeds the current top-k threshold are dropped before
+            completion and scoring.
             The bound never overestimates and ties are never pruned, so
             results stay **bit-identical** to the exhaustive run; only
             the executed score-cell accounting shrinks.  Effective only
@@ -243,7 +228,6 @@ class SearchConfig:
     engine_kind: str | None = None
     engine_mode: str = "dense"
     score: str | ScoreFunction = "k2"
-    n_streams: int = 1
     sample_chunk_bits: int | None = None
     max_chunk_cells: int = DEFAULT_MAX_CHUNK_CELLS
     top_k: int = 1
@@ -259,7 +243,6 @@ class SearchConfig:
     cache_triplets: bool = True
     autotune: bool = False
     batch_rounds: int = 1
-    overlap: bool = True
     deadline_ms: float | None = None
     pressure: bool = True
     pressure_relax_rounds: int = 64
@@ -274,8 +257,6 @@ class SearchConfig:
             )
         if self.block_size < 2:
             raise ValueError(f"block_size must be >= 2, got {self.block_size}")
-        if self.n_streams < 1:
-            raise ValueError(f"n_streams must be >= 1, got {self.n_streams}")
         if self.batch_rounds < 1:
             raise ValueError(
                 f"batch_rounds must be >= 1, got {self.batch_rounds}"
@@ -482,6 +463,11 @@ class Epi4TensorSearch:
                     f"encoded dataset has {encoded.n_snps} SNPs, not a multiple "
                     f"of block_size={self.config.block_size}; encode with padding"
                 )
+        if encoded.n_controls == 0 or encoded.n_cases == 0:
+            raise ValueError(
+                "need at least one control and one case, got "
+                f"{encoded.n_controls} controls and {encoded.n_cases} cases"
+            )
         if encoded.n_snps - 1 > MAX_SNP_INDEX:
             raise ValueError(
                 f"{encoded.n_snps} SNPs exceed the 16-bit index limit "
@@ -751,8 +737,7 @@ class Epi4TensorSearch:
         # Pruning series exist (zero-valued) even when nothing prunes —
         # prune-off runs, non-K2 scores, dense path — so dashboards,
         # golden fixtures and shard merges see a stable metric schema.
-        for name in ("epi4_prune_quads_total", "epi4_prune_rounds_total"):
-            self.metrics.inc(name, 0, device="0")
+        self.metrics.inc("epi4_prune_quads_total", 0, device="0")
         self.metrics.inc("epi4_prune_sync_total", 0)
         total_timer = Timer()
         run_span = self.tracer.span(
@@ -814,12 +799,7 @@ class Epi4TensorSearch:
                     "outer", wi=wi, dev=executor.device_id
                 )
                 with outer_span:
-                    # The outer span is handed down explicitly so stage
-                    # spans opened on the stager thread (empty span stack)
-                    # parent correctly.
-                    local = self._run_rounds(
-                        executor, [wi], parent_span=outer_span
-                    )
+                    local = self._run_rounds(executor, [wi])
                 with commit_lock:
                     reducer.merge(local)
                     executed[executor.device_id].append(wi)
@@ -1341,46 +1321,30 @@ class Epi4TensorSearch:
         self.autotune_decision = decision
 
     def _run_rounds(
-        self,
-        executor: "_KernelExecutor",
-        outer_iters: Iterable[int],
-        parent_span=None,
+        self, executor: "_KernelExecutor", outer_iters: Iterable[int]
     ) -> TopKReducer:
         """The Algorithm 1 loop nest over one executor's kernel primitives.
+
+        Per ``(Wi, Xi)`` pair the ``(Yi, Zi)`` rounds are walked in groups
+        of ``batch_rounds``: each group's ``yz`` combines and 4-way GEMMs
+        issue as one fused launch per class (§3.3 launch-overhead
+        amortization), then its rounds score one by one.  A group of one
+        round is the seed loop, launch for launch.
 
         Loop-invariant operands are requested through the executor's
         ``combine``/``sweep3`` primitives: with the round-operand cache
         enabled, the per-``Yi`` ``wy``/``xy`` combine+sweep is computed
         once and served from the cache across outer pairs, and the ``yz``
         combines are shared across every enclosing ``(Wi, Xi)``; with the
-        cache disabled every request recomputes, reproducing the seed
-        driver launch-for-launch.
-
-        Dispatch: at ``batch_rounds == 1`` with overlap inactive the seed
-        loop runs verbatim (:meth:`_run_rounds_serial`); otherwise rounds
-        are grouped and their ``yz``/4-way launches fused
-        (:meth:`_run_rounds_pipelined`), optionally double-buffered on a
-        host stream.  All three paths are bit-identical.
+        cache disabled every request recomputes.  Only the ``Yi`` sweeps
+        the current group needs stay resident.  Results are bit-identical
+        for any group size — integer corner counts do not depend on GEMM
+        blocking.
         """
         assert self._low is not None, "_prepare_devices must run first"
         batch = max(1, self._tuned_batch_rounds)
         if self._pressure is not None:
             batch = self._pressure.effective_batch_rounds(batch)
-        depth = (
-            stage_lookahead(self.config.n_streams)
-            if self.config.overlap
-            else 0
-        )
-        if batch == 1 and depth == 0:
-            return self._run_rounds_serial(executor, outer_iters)
-        return self._run_rounds_pipelined(
-            executor, outer_iters, batch, depth, parent_span
-        )
-
-    def _run_rounds_serial(
-        self, executor: "_KernelExecutor", outer_iters: Iterable[int]
-    ) -> TopKReducer:
-        """The seed loop nest: one launch per combine/sweep/GEMM request."""
         b = self.scheme.block_size
         nb = self.scheme.nb
         reducer = TopKReducer(self.config.top_k)
@@ -1393,22 +1357,51 @@ class Epi4TensorSearch:
                 sweep_wx = [
                     executor.sweep3(c, wo, xo, combined=wx[c]) for c in (0, 1)
                 ]
-                for yi in range(xi, nb):
-                    yo = yi * b
-                    sweep_wy = [executor.sweep3(c, wo, yo) for c in (0, 1)]
-                    sweep_xy = [executor.sweep3(c, xo, yo) for c in (0, 1)]
-                    for zi in range(yi, nb):
-                        zo = zi * b
+                rounds = [
+                    (yi, zi) for yi in range(xi, nb) for zi in range(yi, nb)
+                ]
+                # {yi: (wy sweeps, xy sweeps)}, resident only for the
+                # current group's Yi; a new Yi requests its sweeps once.
+                yi_sweeps: dict[int, tuple[list, list]] = {}
+                for start in range(0, len(rounds), batch):
+                    group = rounds[start : start + batch]
+                    yi_sweeps = {
+                        yi: (
+                            yi_sweeps[yi]
+                            if yi in yi_sweeps
+                            else (
+                                [executor.sweep3(c, wo, yi * b) for c in (0, 1)],
+                                [executor.sweep3(c, xo, yi * b) for c in (0, 1)],
+                            )
+                        )
+                        for yi in dict.fromkeys(yi for yi, _ in group)
+                    }
+                    for k, (yi, zi) in enumerate(group):
+                        yo, zo = yi * b, zi * b
+                        sweep_wy, sweep_xy = yi_sweeps[yi]
                         round_t0 = time.perf_counter()
                         with self.tracer.span(
                             "round", wi=wi, xi=xi, yi=yi, zi=zi
                         ):
-                            yz = [executor.combine(c, yo, zo) for c in (0, 1)]
-                            corner4 = [
-                                executor.gemm4(wx[c], yz[c], c) for c in (0, 1)
-                            ]
+                            if k == 0:
+                                # The group's fused launches run under its
+                                # first round, so a group of one round is
+                                # the seed round, span for span.
+                                yz = [
+                                    [
+                                        executor.combine(c, y * b, z * b)
+                                        for c in (0, 1)
+                                    ]
+                                    for y, z in group
+                                ]
+                                corner4 = [
+                                    executor.gemm4_batch(
+                                        wx[c], [r[c] for r in yz], c
+                                    )
+                                    for c in (0, 1)
+                                ]
                             operands = RoundOperands(
-                                corner4=(corner4[0], corner4[1]),
+                                corner4=(corner4[0][k], corner4[1][k]),
                                 corner3_wxy=tuple(
                                     s[:, :, yo - xo : yo - xo + b]
                                     for s in sweep_wx
@@ -1432,301 +1425,6 @@ class Epi4TensorSearch:
                         self._note_round_done(executor, reducer, round_t0)
         return reducer
 
-    # -- batched round pipeline ----------------------------------------- #
-
-    def _run_rounds_pipelined(
-        self,
-        executor: "_KernelExecutor",
-        outer_iters: Iterable[int],
-        batch: int,
-        depth: int,
-        parent_span,
-    ) -> TopKReducer:
-        """Grouped-launch loop nest with optional stage/score overlap.
-
-        Rounds sharing one ``(Wi, Xi)`` pair are chunked into groups of
-        ``batch``; each group's ``yz`` combines and 4-way GEMMs issue as
-        fused batched launches.  With ``depth > 0`` up to ``depth + 1``
-        groups are in flight on an in-order :class:`HostStream` — the
-        stager thread runs *all* device launches (so kernel accounting
-        never races the scoring thread) while the calling thread scores.
-        """
-        reducer = TopKReducer(self.config.top_k)
-        tasks: list[Callable[[], _StagedGroup]] = []
-        nb = self.scheme.nb
-        for wi in outer_iters:
-            for xi in range(wi, nb):
-                rounds = [
-                    (yi, zi)
-                    for yi in range(xi, nb)
-                    for zi in range(yi, nb)
-                ]
-                # Per-(wi, xi) operands shared across the pair's groups;
-                # mutated only by the (single, in-order) stager thread.
-                shared: dict = {}
-                for start in range(0, len(rounds), batch):
-                    tasks.append(
-                        self._make_stage_task(
-                            executor,
-                            wi,
-                            xi,
-                            rounds[start : start + batch],
-                            shared,
-                            parent_span,
-                            reducer,
-                        )
-                    )
-        if depth == 0:
-            for task in tasks:
-                self._score_staged_group(executor, reducer, task())
-            return reducer
-
-        stream = HostStream(f"epi4-stage-{executor.device_id}")
-        pending: deque = deque()
-        idx = 0
-        try:
-            while idx < len(tasks) or pending:
-                while idx < len(tasks) and len(pending) < depth + 1:
-                    pending.append(stream.submit(tasks[idx]))
-                    idx += 1
-                future = pending.popleft()
-                wait_t0 = time.perf_counter()
-                staged = future.result()
-                wait_s = time.perf_counter() - wait_t0
-                # Stage time the scoring thread did NOT wait for = real
-                # overlap won by the stream.
-                self.metrics.inc(
-                    "epi4_stage_overlap_seconds_total",
-                    max(0.0, staged.stage_seconds - wait_s),
-                    device=str(executor.device_id),
-                )
-                self._score_staged_group(executor, reducer, staged)
-        finally:
-            # Drain in-flight stage work before this (possibly retried)
-            # iteration returns: the fault injector's per-device context
-            # is reset by _with_retries right after, and no launch may
-            # outlive its iteration.  A primary exception wins over any
-            # secondary stager failure.
-            for future in pending:
-                try:
-                    future.result()
-                except BaseException:
-                    pass
-            stream.close()
-        return reducer
-
-    def _make_stage_task(
-        self,
-        executor: "_KernelExecutor",
-        wi: int,
-        xi: int,
-        group: list[tuple[int, int]],
-        shared: dict,
-        parent_span,
-        reducer: TopKReducer,
-    ) -> Callable[[], "_StagedGroup"]:
-        """Build the (idempotent) stage closure for one round group: all
-        combines, sweeps and fused tensor launches the group's rounds
-        need, returning host-resident operands ready to score.
-
-        With pruning inactive the stage issues its launches in the exact
-        historical order (combine+sweep, per-``Yi`` sweeps, ``yz``
-        combines, fused 4-way GEMM).  With pruning active the third-order
-        sweeps are staged *lazily*: the fused GEMM runs first, each
-        round's aggregate 16-corner bound (:meth:`K2BoundKernel.round_bound`)
-        is compared against the current threshold, and sweeps are staged
-        only for rounds that survive — an elided round skips its sweep
-        launches entirely when the operand cache is off.  An implausible
-        (fault-corrupted) corner block bounds to ``-inf`` and is never
-        elided, so it still reaches the scoring path's validation.
-        """
-        b = self.scheme.block_size
-        prune = self._prune_active()
-
-        def stage() -> _StagedGroup:
-            wo, xo = wi * b, xi * b
-            t0 = time.perf_counter()
-            with self.tracer.span(
-                "stage",
-                parent_span=parent_span,
-                wi=wi,
-                xi=xi,
-                dev=executor.device_id,
-            ):
-                if "wx" not in shared:
-                    wx = [executor.combine(c, wo, xo) for c in (0, 1)]
-                    shared["wx"] = wx
-                    if not prune:
-                        shared["sweep_wx"] = [
-                            executor.sweep3(c, wo, xo, combined=wx[c])
-                            for c in (0, 1)
-                        ]
-                    shared["sweeps"] = {}
-                wx = shared["wx"]
-                if not prune:
-                    for yi, _zi in group:
-                        if yi not in shared["sweeps"]:
-                            shared["sweeps"][yi] = self._yi_sweeps(
-                                executor, wo, xo, yi * b
-                            )
-                yz_by_round = [
-                    [executor.combine(c, yi * b, zi * b) for c in (0, 1)]
-                    for yi, zi in group
-                ]
-                corner4_by_class = [
-                    executor.gemm4_batch(
-                        wx[c], [yz[c] for yz in yz_by_round], c
-                    )
-                    for c in (0, 1)
-                ]
-                rounds = []
-                if prune:
-                    threshold = self._prune_threshold(reducer)
-                    survivors: list[int] = []
-                    for k, (yi, zi) in enumerate(group):
-                        corner4 = (
-                            corner4_by_class[0][k],
-                            corner4_by_class[1][k],
-                        )
-                        elided = False
-                        n_masked = 0
-                        if np.isfinite(threshold):
-                            mask = round_validity_mask(
-                                (wo, xo, yi * b, zi * b),
-                                b,
-                                self.scheme.n_real_snps,
-                            )
-                            bound = self._bound_kernel.round_bound(
-                                corner4, mask
-                            )
-                            if bound > threshold + PRUNE_SLACK:
-                                elided = True
-                                n_masked = int(mask.sum())
-                        rounds.append((yi, zi, corner4, elided, n_masked))
-                        if not elided and yi not in survivors:
-                            survivors.append(yi)
-                    if survivors and "sweep_wx" not in shared:
-                        shared["sweep_wx"] = [
-                            executor.sweep3(c, wo, xo, combined=wx[c])
-                            for c in (0, 1)
-                        ]
-                    for yi in survivors:
-                        if yi not in shared["sweeps"]:
-                            shared["sweeps"][yi] = self._yi_sweeps(
-                                executor, wo, xo, yi * b
-                            )
-                else:
-                    rounds = [
-                        (
-                            yi,
-                            zi,
-                            (corner4_by_class[0][k], corner4_by_class[1][k]),
-                            False,
-                            0,
-                        )
-                        for k, (yi, zi) in enumerate(group)
-                    ]
-            return _StagedGroup(
-                wi=wi,
-                xi=xi,
-                sweep_wx=shared.get("sweep_wx"),
-                yi_sweeps={
-                    yi: shared["sweeps"][yi]
-                    for yi, _ in group
-                    if yi in shared["sweeps"]
-                },
-                rounds=rounds,
-                stage_seconds=time.perf_counter() - t0,
-            )
-
-        return stage
-
-    def _yi_sweeps(
-        self, executor: "_KernelExecutor", wo: int, xo: int, yo: int
-    ):
-        """The Y-level ``wy``/``xy`` sweeps for one staged pair.
-
-        With the operand cache off on a plain single-device executor the
-        two sweeps share their tail, so their per-class tensor3 launches
-        fuse (``sweep3_pair``); every other configuration routes through
-        the ordinary cached ``sweep3`` requests.
-        """
-        if (
-            self._cache is None
-            and self.config.sample_chunk_bits is None
-            and isinstance(executor, _SingleDeviceExecutor)
-        ):
-            return executor.sweep3_pair(wo, xo, yo)
-        return (
-            [executor.sweep3(c, wo, yo) for c in (0, 1)],
-            [executor.sweep3(c, xo, yo) for c in (0, 1)],
-        )
-
-    def _score_staged_group(
-        self,
-        executor: "_KernelExecutor",
-        reducer: TopKReducer,
-        staged: "_StagedGroup",
-    ) -> None:
-        """Score every round of a staged group (host math only — all
-        device launches already happened in the stage task).
-
-        A round the stage task elided is only accounted: its mask-valid
-        positions count as pruned (keeping the conservation law
-        ``valid + pruned == mask-valid`` exact), the round still ticks
-        the per-round bookkeeping, and no completion or scoring runs.
-        """
-        b = self.scheme.block_size
-        wo, xo = staged.wi * b, staged.xi * b
-        dev = str(executor.device_id)
-        for yi, zi, corner4, elided, n_masked in staged.rounds:
-            yo, zo = yi * b, zi * b
-            if elided:
-                round_t0 = time.perf_counter()
-                with self.tracer.span(
-                    "round",
-                    wi=staged.wi,
-                    xi=staged.xi,
-                    yi=yi,
-                    zi=zi,
-                    elided=1,
-                ):
-                    self.metrics.inc(
-                        "epi4_applyscore_positions_total", b ** 4, device=dev
-                    )
-                    self.metrics.inc(
-                        "epi4_prune_quads_total", n_masked, device=dev
-                    )
-                    self.metrics.inc("epi4_prune_rounds_total", device=dev)
-                self._note_round_done(executor, reducer, round_t0)
-                continue
-            sweep_wy, sweep_xy = staged.yi_sweeps[yi]
-            round_t0 = time.perf_counter()
-            with self.tracer.span(
-                "round", wi=staged.wi, xi=staged.xi, yi=yi, zi=zi
-            ):
-                operands = RoundOperands(
-                    corner4=(corner4[0], corner4[1]),
-                    corner3_wxy=tuple(
-                        s[:, :, yo - xo : yo - xo + b]
-                        for s in staged.sweep_wx
-                    ),
-                    corner3_wxz=tuple(
-                        s[:, :, zo - xo : zo - xo + b]
-                        for s in staged.sweep_wx
-                    ),
-                    corner3_wyz=tuple(
-                        s[:, :, zo - yo : zo - yo + b] for s in sweep_wy
-                    ),
-                    corner3_xyz=tuple(
-                        s[:, :, zo - yo : zo - yo + b] for s in sweep_xy
-                    ),
-                    offsets=(wo, xo, yo, zo),
-                    block_size=b,
-                )
-                self._score_and_reduce(executor, reducer, operands)
-            self._note_round_done(executor, reducer, round_t0)
-
     def _score_and_reduce(
         self,
         executor: "_KernelExecutor",
@@ -1746,7 +1444,8 @@ class Epi4TensorSearch:
         reducer: TopKReducer,
         round_t0: float,
     ) -> None:
-        """Per-round bookkeeping shared by both loop paths."""
+        """Per-round bookkeeping: metrics, pressure relax, threshold sync
+        and the progress callback."""
         dev = str(executor.device_id)
         self.metrics.inc("epi4_rounds_total", device=dev)
         self.metrics.observe(
@@ -2000,31 +1699,6 @@ class Epi4TensorSearch:
         return scores, cells
 
 
-@dataclass
-class _StagedGroup:
-    """Host-resident operands of one staged round group.
-
-    Produced by a stage task (all device launches done), consumed by
-    :meth:`Epi4TensorSearch._score_staged_group` (host math only).
-    """
-
-    wi: int
-    xi: int
-    #: Per-class ``wx`` third-order sweeps (shared across the pair's
-    #: groups); ``None`` when bound pruning elided every round that
-    #: would have needed them.
-    sweep_wx: list | None
-    #: ``{yi: (sweep_wy_per_class, sweep_xy_per_class)}`` for the group's
-    #: surviving (non-elided) rounds.
-    yi_sweeps: dict
-    #: ``(yi, zi, per_class_corner4, elided, n_masked)`` per round, in
-    #: round order; ``n_masked`` is the mask-valid position count of an
-    #: elided round (0 otherwise).
-    rounds: list
-    #: Wall seconds the stage task spent (for the overlap metric).
-    stage_seconds: float
-
-
 def _full3_lookup(
     search: "Epi4TensorSearch",
     counters: KernelCounters,
@@ -2227,37 +1901,6 @@ class _SingleDeviceExecutor:
         b = self._search.scheme.block_size
         with self._search._phase_scope("tensor4", self.device_id, span="batch"):
             return self._gpu.launch_tensor4_batch(wx, yz_list, b)
-
-    def sweep3_pair(
-        self, wo: int, xo: int, yo: int
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Both Y-level sweeps (``wy`` and ``xy``) over their shared tail,
-        with the per-class tensor3 launches fused.
-
-        Cache-off fast path for the batched pipeline: request/executed
-        accounting mirrors two plain ``sweep3`` calls (4 sweep requests,
-        4 executed, 4 combine launches) — only the tensor3 launch count
-        halves, which is exactly what batching is allowed to change.
-        """
-        search = self._search
-        metrics = search.metrics
-        dev = str(self.device_id)
-        metrics.inc("epi4_operand_requests_total", 4, kind="sweep", device=dev)
-        metrics.inc("epi4_operand_executed_total", 4, kind="sweep", device=dev)
-        b = search.scheme.block_size
-        t_stop = search.scheme.n_snps
-        out_wy: list[np.ndarray] = []
-        out_xy: list[np.ndarray] = []
-        for cls in (0, 1):
-            wy = self._combine_cold(cls, wo, yo)
-            xy = self._combine_cold(cls, xo, yo)
-            with search._phase_scope("tensor3", self.device_id, span="batch"):
-                swy, sxy = self._gpu.launch_tensor3_batch(
-                    [wy, xy], self._planes[cls], yo, t_stop, b
-                )
-            out_wy.append(swy)
-            out_xy.append(sxy)
-        return out_wy, out_xy
 
     def account_score(self, n_cells: int) -> None:
         self._gpu.account_score_cells(n_cells)

@@ -59,40 +59,6 @@ def tensorop_3way(
     return _reshape_corner3(raw, b, t_stop - t_start)
 
 
-def tensorop_3way_batch(
-    engine: BinaryTensorEngine,
-    combined_list: list[BitMatrix],
-    class_planes: BitMatrix,
-    t_start: int,
-    t_stop: int,
-    block_size: int,
-) -> list[np.ndarray]:
-    """Several sweeps against the same tail in one fused launch.
-
-    The Y-loop issues two sweeps per step (``wy`` and ``xy``) over an
-    identical SNP tail; stacking their combined operands halves the launch
-    count while producing bit-identical per-sweep corners.
-    """
-    b = block_size
-    for i, combined in enumerate(combined_list):
-        if combined.n_rows != 4 * b * b:
-            raise ValueError(
-                f"combined operand [{i}] has {combined.n_rows} rows, "
-                f"expected 4*B^2 = {4 * b * b}"
-            )
-    if not 0 <= t_start < t_stop <= class_planes.n_rows // 2:
-        raise ValueError(
-            f"tail range [{t_start}, {t_stop}) invalid for "
-            f"{class_planes.n_rows // 2} SNPs"
-        )
-    tail = class_planes.select_rows(2 * t_start, 2 * t_stop)
-    raws = engine.matmul_popcount_batch(
-        [(combined, tail) for combined in combined_list]
-    )
-    t = t_stop - t_start
-    return [_reshape_corner3(raw, b, t) for raw in raws]
-
-
 def _reshape_corner3(raw: np.ndarray, b: int, t: int) -> np.ndarray:
     corner = raw.reshape(b, 2, b, 2, t, 2).transpose(0, 2, 4, 1, 3, 5)
     return np.ascontiguousarray(corner, dtype=np.int32)

@@ -537,19 +537,6 @@ class FaultyGPU:
         )
         return out
 
-    def launch_tensor3_batch(
-        self, combined_list, class_planes, t_start, t_stop, block_size
-    ):
-        # One gate per fused launch: a batched launch fails (or survives)
-        # as a unit, exactly like the hardware launch it models.
-        out, _ = self._execute(
-            "tensor3",
-            lambda: self._gpu.launch_tensor3_batch(
-                combined_list, class_planes, t_start, t_stop, block_size
-            ),
-        )
-        return out
-
     def launch_tensor4(self, combined_wx, combined_yz, block_size):
         out, action = self._execute(
             "tensor4",

@@ -124,9 +124,9 @@ def estimate_search_memory(
             set — the cross-round triplet-reuse path of the fused
             ``applyScore``.  Ignored when caching is disabled.
         batch_rounds: rounds fused per batched GEMM launch group.  Above
-            1, the round stager double-buffers a group's ``yz`` operands
-            and 4-way corner outputs (prepare ``r+1`` while ``r`` scores),
-            so that working set is charged twice.
+            1, one group's ``yz`` operands and 4-way corner outputs are
+            resident while its rounds score, so that working set is
+            charged once.
 
     Returns:
         A :class:`DeviceMemoryEstimate`.
@@ -160,14 +160,13 @@ def estimate_search_memory(
     if batch_rounds < 1:
         raise ValueError(f"batch_rounds must be >= 1, got {batch_rounds}")
     if batch_rounds > 1:
-        # Double-buffered round stager: two groups of `batch_rounds`
-        # rounds may be resident at once, each holding both classes'
-        # yz-combined operands and 4-way corner outputs.
+        # One group of `batch_rounds` rounds is resident at a time, holding
+        # both classes' yz-combined operands and 4-way corner outputs.
         per_round = (
             8 * 2 * (4 * b * b) * max(words0, words1)  # yz operands
             + 8 * 2 * b**4 * 16  # 4-way corners
         )
-        components["round stager"] = 2 * batch_rounds * per_round
+        components["round group"] = batch_rounds * per_round
     if cache_budget_bytes < 0:
         raise ValueError(
             f"cache_budget_bytes must be >= 0, got {cache_budget_bytes}"

@@ -75,8 +75,7 @@ class KernelCounters:
     faults_injected: int = 0
 
     def __post_init__(self) -> None:
-        # Under stage/score overlap the operand stager and the scoring
-        # thread account launches on the same device concurrently; every
+        # Counters may be shared by more than one host thread; every
         # read-modify-write below goes through this lock.
         self._lock = threading.Lock()
 
@@ -269,24 +268,6 @@ class VirtualGPU:
         )
         self._account_tensor("tensor3")
         return out
-
-    def launch_tensor3_batch(
-        self,
-        combined_list: list[BitMatrix],
-        class_planes: BitMatrix,
-        t_start: int,
-        t_stop: int,
-        block_size: int,
-    ) -> list[np.ndarray]:
-        """Batched ``tensorOp_3way``: many combined operands against one
-        class-plane tail in as few fused launches as possible."""
-        from repro.core.threeway import tensorop_3way_batch
-
-        outs = tensorop_3way_batch(
-            self.engine, combined_list, class_planes, t_start, t_stop, block_size
-        )
-        self._account_tensor("tensor3")
-        return outs
 
     def launch_tensor4(
         self, combined_wx: BitMatrix, combined_yz: BitMatrix, block_size: int

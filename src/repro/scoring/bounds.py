@@ -27,9 +27,6 @@ subtraction — e.g. the ``g_z = 2`` fiber is ``corner3_wxy - sum_gz corner4``.
 Those 48 cells typically hold the bulk of the samples, so the two-term
 remainder gives up little; on the reference bench configuration the bound
 prunes ~90% of quads at the final top-10 threshold.
-
-Round elision uses the weaker *16-corner* bound (corner4 only), the only
-bound computable before the round's third-order sweeps are staged.
 """
 
 from __future__ import annotations
@@ -168,51 +165,6 @@ class K2BoundKernel:
             + self._log1(rest0)
             + self._log1(rest1)
         )
-
-    def round_bound(
-        self,
-        corner4: "tuple[np.ndarray, np.ndarray]",
-        mask: np.ndarray,
-    ) -> float:
-        """Aggregate 16-corner lower bound of one round.
-
-        The minimum, over the round's mask-valid positions, of the
-        corner-only bound (16 known cells + remainder terms).  Computable
-        from the fused 4-way GEMM output alone — before any third-order
-        sweep is staged — so the pipelined loop can elide a whole round
-        (and, cache-off, its sweep launches) when even its best possible
-        quad cannot beat the threshold.
-
-        Returns:
-            The masked minimum bound; ``+inf`` when the round has no
-            valid positions (nothing to score — always elidable);
-            ``-inf`` when any count is implausible (never elide — let the
-            scoring path's validation see the corruption).
-        """
-        per_class = []
-        for cls, n_class in ((0, self.n_controls), (1, self.n_cases)):
-            c4 = np.asarray(corner4[cls], dtype=np.int64)
-            b = c4.shape[0]
-            cells = c4.reshape(b, b, b, b, 16)
-            rest = n_class - cells.sum(axis=-1)
-            if cells.size and (
-                int(cells.min()) < 0 or int(rest.min()) < 0
-            ):
-                return -np.inf
-            per_class.append((cells, rest))
-        cells0, rest0 = per_class[0]
-        cells1, rest1 = per_class[1]
-        if cells0.size and int((cells0 + cells1).max()) > self.max_total:
-            return -np.inf
-        grid = (
-            self._cell_terms(cells0, cells1).sum(axis=-1)
-            + self._log1(rest0)
-            + self._log1(rest1)
-        )
-        masked = grid[mask]
-        if masked.size == 0:
-            return np.inf
-        return float(masked.min())
 
     def __repr__(self) -> str:
         return (

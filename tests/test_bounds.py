@@ -1,22 +1,19 @@
 """Unit suite for the admissible K2 bound kernel.
 
 The branch-and-bound gate is only sound if the bound never overestimates
-the exact score; everything else (pruning power, elision rate) is a
-performance question.  This file locks in:
+the exact score; everything else (pruning power) is a performance
+question.  This file locks in:
 
 1. **Admissibility** — ``quad_bounds <= exact`` for every valid position
-   across the overlap-order round shapes, and ``round_bound`` lower-bounds
-   both the quad bounds and the exact masked minimum.
+   across the overlap-order round shapes.
 2. **Fail-safety** — implausible counts (the fault injector's planted
    negatives, totals beyond the lgamma table) make the kernel decline
-   (``None`` / ``-inf``) rather than emit a bound that could mis-prune.
+   (``None``) rather than emit a bound that could mis-prune.
 3. **Identities** — the ``log(n + 1)`` remainder trick and the per-cell
    minorant the proofs rest on.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -81,23 +78,6 @@ class TestAdmissibility:
         # contract it relies on.
         assert np.all(bounds <= exact[mask] + PRUNE_SLACK)
 
-    @pytest.mark.parametrize("offsets", ROUND_OFFSETS)
-    def test_round_bound_below_quad_bounds_and_exact(self, env, offsets):
-        enc, pairs, score_min, kernel = env
-        operands = direct_round_operands(enc, offsets, 4)
-        mask = round_validity_mask(offsets, 4, enc.n_real_snps)
-        rb = kernel.round_bound(operands.corner4, mask)
-        if not mask.any():
-            assert rb == math.inf
-            return
-        w, x, y, z = np.nonzero(mask)
-        quad = kernel.quad_bounds(operands, w, x, y, z)
-        exact = apply_score_dense(operands, pairs, score_min, enc.n_real_snps)
-        # The 16-corner bound knows strictly less than the 48-cell bound,
-        # which in turn never exceeds the exact score.
-        assert rb <= quad.min() + PRUNE_SLACK
-        assert rb <= float(exact[mask].min()) + PRUNE_SLACK
-
     def test_bounds_are_positive_finite(self, env):
         # Every K2 term is non-negative and the remainder adds log(n+1)
         # terms, so real datasets yield strictly positive finite bounds.
@@ -133,12 +113,6 @@ class TestFailSafety:
         w, x, y, z = np.nonzero(mask)
         assert kernel.quad_bounds(operands, w, x, y, z) is None
 
-    def test_negative_corner_never_elides_round(self, env):
-        enc, _, _, kernel = env
-        operands = self._corrupt(direct_round_operands(enc, (0, 4, 8, 12), 4))
-        mask = round_validity_mask((0, 4, 8, 12), 4, enc.n_real_snps)
-        assert kernel.round_bound(operands.corner4, mask) == -math.inf
-
     def test_inflated_corner_declines(self, env):
         # A too-large count (sum beyond N) shows up as a negative fiber or
         # remainder after marginal subtraction.
@@ -160,14 +134,6 @@ class TestFailSafety:
         mask = round_validity_mask((0, 0, 0, 0), 4, enc.n_real_snps)
         w, x, y, z = np.nonzero(mask)
         assert small.quad_bounds(operands, w, x, y, z) is None
-        assert small.round_bound(operands.corner4, mask) == -math.inf
-
-    def test_zero_valid_round_is_always_elidable(self, env):
-        enc, _, _, kernel = env
-        operands = direct_round_operands(enc, (0, 4, 8, 12), 4)
-        empty = np.zeros((4, 4, 4, 4), dtype=bool)
-        assert kernel.round_bound(operands.corner4, empty) == math.inf
-
 
 class TestIdentities:
     def test_log1_matches_log(self, env):

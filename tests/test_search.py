@@ -5,7 +5,7 @@ import pytest
 
 from repro.contingency import best_quad_brute_force
 from repro.core.search import Epi4TensorSearch, SearchConfig, search_best_quad
-from repro.datasets import encode_dataset, generate_random_dataset
+from repro.datasets import Dataset, encode_dataset, generate_random_dataset
 from repro.device.specs import A100_PCIE, TITAN_RTX
 from repro.perfmodel.workload import search_workload
 from repro.scoring import K2Score, make_score
@@ -209,6 +209,26 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match="at least 4"):
             search_best_quad(generate_random_dataset(3, 50, seed=0))
 
+    @pytest.mark.parametrize("encoded", [False, True], ids=["raw", "encoded"])
+    @pytest.mark.parametrize(
+        "make,sizes",
+        [
+            (lambda d: Dataset(d.genotypes, np.zeros_like(d.phenotypes)), (40, 0)),
+            (lambda d: Dataset(d.genotypes, np.ones_like(d.phenotypes)), (0, 40)),
+            (lambda d: generate_random_dataset(12, 1, seed=0), (1, 0)),
+        ],
+        ids=["all-controls", "all-cases", "single-sample"],
+    )
+    def test_rejects_empty_phenotype_class(self, make, sizes, encoded):
+        ds = make(generate_random_dataset(12, 40, seed=0))
+        if encoded:
+            ds = encode_dataset(ds, block_size=4)
+        n_controls, n_cases = sizes
+        with pytest.raises(
+            ValueError, match=f"got {n_controls} controls and {n_cases} cases"
+        ):
+            Epi4TensorSearch(ds, SearchConfig(block_size=4))
+
     def test_rejects_and_engine_on_turing(self):
         ds = generate_random_dataset(8, 50, seed=0)
         with pytest.raises(ValueError, match="AND\\+POPC"):
@@ -232,7 +252,5 @@ class TestValidationErrors:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="block_size"):
             SearchConfig(block_size=1)
-        with pytest.raises(ValueError, match="n_streams"):
-            SearchConfig(n_streams=0)
         with pytest.raises(ValueError, match="sample_chunk_bits"):
             SearchConfig(sample_chunk_bits=100)

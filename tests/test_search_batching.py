@@ -1,12 +1,12 @@
-"""Batched-GEMM round pipeline: fusion, overlap and launch accounting.
+"""Batched-GEMM round groups: fusion and launch accounting.
 
 Three layers under test:
 
 - the engine batch primitive (``matmul_popcount_batch``): stacked launches
   must be bit-identical to per-pair GEMMs, across engines and modes, and
   must record the fused problem count on their :class:`GemmShape`;
-- the search pipeline (``batch_rounds`` / ``n_streams`` / ``overlap``):
-  every configuration must reproduce the sequential seed results exactly —
+- the search loop (``batch_rounds``): every group size must reproduce
+  the sequential seed results exactly —
   under faults, across partitions, and through checkpoint resume;
 - the accounting: executed launch counts must match the analytic closed
   forms of :func:`repro.perfmodel.workload.search_gemm_launches`, while
@@ -16,6 +16,7 @@ Three layers under test:
 """
 
 import json
+from math import comb
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from repro.core.autotune import autotune_applyscore
 from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.datasets import generate_random_dataset
 from repro.device.memory import estimate_search_memory
-from repro.device.streams import HostStream, stage_lookahead
 from repro.perfmodel.model import predict_search
 from repro.perfmodel.workload import search_gemm_launches
 from repro.tensor.engine import make_engine
@@ -115,9 +115,7 @@ class TestMatmulPopcountBatch:
 
 GRID = [
     dict(batch_rounds=8),
-    dict(batch_rounds=8, n_streams=2),
-    dict(batch_rounds=1, n_streams=3),
-    dict(batch_rounds=8, n_streams=2, overlap=False),
+    dict(batch_rounds=3),
     dict(batch_rounds=8, cache_mb=float("inf")),
     dict(batch_rounds=4, sample_chunk_bits=64),
 ]
@@ -145,7 +143,6 @@ class TestPipelineBitIdentity:
             block_size=4,
             top_k=3,
             batch_rounds=8,
-            n_streams=2,
             host_threads=2,
         )
         assert _solutions(got) == _solutions(ref)
@@ -160,7 +157,6 @@ class TestPipelineBitIdentity:
             top_k=3,
             partition="samples",
             batch_rounds=8,
-            n_streams=2,
         )
         assert _solutions(got) == _solutions(ref)
 
@@ -174,7 +170,6 @@ class TestPipelineBitIdentity:
             block_size=4,
             top_k=3,
             batch_rounds=8,
-            n_streams=2,
             inject_faults=spec,
             max_retries=3,
         )
@@ -182,7 +177,7 @@ class TestPipelineBitIdentity:
 
     def test_checkpoint_resume(self, tmp_path):
         ds = generate_random_dataset(16, 120, seed=25)
-        base = dict(block_size=4, top_k=3, batch_rounds=8, n_streams=2)
+        base = dict(block_size=4, top_k=3, batch_rounds=8)
         path = tmp_path / "batched.ckpt"
         search = Epi4TensorSearch(ds, SearchConfig(**base))
         full = search.run(checkpoint_path=path)
@@ -213,6 +208,9 @@ class TestLaunchAccounting:
         expected = search_gemm_launches(nb, batch_rounds=batch)
         assert res.counters.launches["tensor4"] == expected["tensor4"]
         assert res.counters.launches["tensor3"] == expected["tensor3"]
+        # Cache off, every Y-level sweep launches on its own whatever the
+        # group size.
+        assert expected["tensor3"] == 2 * comb(nb + 1, 2) + 4 * comb(nb + 2, 3)
         # Logical problem totals are batch-invariant and equal the
         # launch-per-problem seed counts.
         seed_launches = search_gemm_launches(nb, batch_rounds=1)
@@ -225,16 +223,6 @@ class TestLaunchAccounting:
         expected = search_gemm_launches(nb, batch_rounds=8, cache_operands=True)
         assert res.counters.launches["tensor4"] == expected["tensor4"]
         assert res.counters.launches["tensor3"] == expected["tensor3"]
-
-    def test_overlap_only_uses_paired_sweeps(self):
-        # batch_rounds=1 with overlap runs the pipeline, which pairs the
-        # Y-level sweeps — the closed form models that with paired_sweeps.
-        ds = generate_random_dataset(16, 120, seed=32)
-        _, res = _run(ds, block_size=4, batch_rounds=1, n_streams=2)
-        nb = res.block_scheme.n_snps // 4
-        expected = search_gemm_launches(nb, batch_rounds=1, paired_sweeps=True)
-        assert res.counters.launches["tensor3"] == expected["tensor3"]
-        assert res.counters.launches["tensor4"] == expected["tensor4"]
 
     def test_launch_collapse_at_least_4x(self):
         nb = 12
@@ -250,14 +238,13 @@ class TestLaunchAccounting:
 
     def test_operand_ledger_property(self):
         # requests == executed + cache_served, per operand kind, with and
-        # without the cache, under batching + overlap.
+        # without the cache, under batching.
         ds = generate_random_dataset(20, 128, seed=33)
         for cache_mb in (None, float("inf")):
             search, _ = _run(
                 ds,
                 block_size=4,
                 batch_rounds=8,
-                n_streams=2,
                 cache_mb=cache_mb,
             )
             m = search.metrics
@@ -270,39 +257,16 @@ class TestLaunchAccounting:
 
     def test_gemm_metrics_exported(self):
         ds = generate_random_dataset(16, 120, seed=34)
-        search, res = _run(ds, block_size=4, batch_rounds=8, n_streams=2)
+        search, res = _run(ds, block_size=4, batch_rounds=8)
         m = search.metrics
         assert m.total("epi4_gemm_launches_total", kernel="tensor4") == \
             res.counters.launches["tensor4"]
         assert m.total("epi4_gemm_problems_total", kernel="tensor4") == \
             res.counters.gemm_problems["tensor4"]
-        # The overlap series exists (the stager may or may not have won
-        # measurable overlap on a tiny workload, but the series records).
-        assert "epi4_stage_overlap_seconds_total" in m.names()
-
-    def test_stage_spans_recorded(self):
-        from repro.obs.trace import Tracer
-
-        ds = generate_random_dataset(16, 120, seed=35)
-        tracer = Tracer()
-        search = Epi4TensorSearch(
-            ds,
-            SearchConfig(block_size=4, batch_rounds=8, n_streams=2),
-            tracer=tracer,
-        )
-        search.run()
-        names = {r.name for r in tracer.records()}
-        assert "stage" in names
-        assert "round" in names
-        # Stage spans parent under their outer iteration.
-        stage_paths = {
-            r.path for r in tracer.records() if r.name == "stage"
-        }
-        assert stage_paths and all("outer" in p for p in stage_paths)
 
 
 # --------------------------------------------------------------------- #
-# Satellites: popcount scratch, host stream, memory, model, autotune
+# Satellites: popcount scratch, memory, model, autotune
 
 
 class TestPopcountScratch:
@@ -333,36 +297,15 @@ class TestPopcountScratch:
         assert pc._LUT_SCRATCH.buf.size >= 64 * 64 * 8
 
 
-class TestHostStream:
-    def test_in_order_execution(self):
-        order = []
-        with HostStream("test-stream") as stream:
-            futures = [
-                stream.submit(lambda i=i: order.append(i)) for i in range(20)
-            ]
-            for f in futures:
-                f.result()
-        assert order == list(range(20))
-
-    def test_exception_propagates(self):
-        with HostStream() as stream:
-            future = stream.submit(lambda: 1 / 0)
-            with pytest.raises(ZeroDivisionError):
-                future.result()
-
-    @pytest.mark.parametrize(
-        "n_streams,expected", [(1, 0), (2, 1), (3, 2), (5, 4), (99, 4)]
-    )
-    def test_stage_lookahead(self, n_streams, expected):
-        assert stage_lookahead(n_streams) == expected
-
-
 class TestModelAndMemory:
     def test_memory_estimate_charges_stager(self):
         base = estimate_search_memory(32, 64, 64, 8)
         batched = estimate_search_memory(32, 64, 64, 8, batch_rounds=8)
-        assert "round stager" not in base.components
-        assert batched.components["round stager"] > 0
+        assert "round group" not in base.components
+        # One resident group of 8 rounds: yz operands (one 64-bit word
+        # per row at 64 samples per class) + 4-way corners.
+        per_round = 8 * 2 * (4 * 8 * 8) + 8 * 2 * 8**4 * 16
+        assert batched.components["round group"] == 8 * per_round
         assert batched.total_bytes > base.total_bytes
 
     def test_predict_search_launch_overhead(self):

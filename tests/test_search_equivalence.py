@@ -362,13 +362,11 @@ class TestPruneEquivalence:
         "extra",
         [
             dict(batch_rounds=8),
-            dict(batch_rounds=8, n_streams=2),
-            dict(batch_rounds=1, n_streams=3),
+            dict(batch_rounds=3),
             dict(batch_rounds=8, cache_mb=float("inf")),
             dict(score_path="dense"),
         ],
-        ids=["batched", "batched-streams", "streams", "batched-cached",
-             "dense-path"],
+        ids=["batched", "batched-3", "batched-cached", "dense-path"],
     )
     def test_pipeline_variants(self, extra):
         # score_path="dense" never prunes (the gate is fused-path only);
