@@ -69,11 +69,6 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
         help="apply MAF/HWE quality control before searching",
     )
     p.add_argument(
-        "--checkpoint",
-        help="checkpoint file: progress is saved after every outer "
-        "iteration and resumed from here on restart",
-    )
-    p.add_argument(
         "--selfcheck", action="store_true",
         help="re-verify every round's winner through an independent "
         "bitwise path (aborts on any disagreement)",
@@ -173,7 +168,8 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
     p.add_argument(
         "--journal", default=None, metavar="PATH",
         help="crash-safe round journal: one fsynced CRC frame per "
-        "committed outer iteration; a process killed at any byte offset "
+        "committed outer iteration; a restart on the same path resumes "
+        "from the journal, and a process killed at any byte offset "
         "resumes exactly-once with a bit-identical top-k",
     )
     p.add_argument(
@@ -497,9 +493,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         search = Epi4TensorSearch(
             dataset, config, spec=spec, n_gpus=args.n_gpus, tracer=tracer
         )
-        result = search.run(
-            checkpoint_path=args.checkpoint, journal_path=args.journal
-        )
+        result = search.run(journal_path=args.journal)
         if wants_artifacts:
             from repro.obs.exporters import export_run_artifacts
             from repro.obs.manifest import build_run_manifest

@@ -1,34 +1,20 @@
-"""Checkpoint/resume for long searches.
+"""Resume identity and durability helpers shared by the round journal.
 
 The paper's largest single-GPU run takes ~14.5 hours; production use needs
-to survive pre-emption.  The natural checkpoint granularity is the §3.6
-work-division unit — one outer (``Wi``) iteration: after each completed
-iteration the set of finished iterations plus the current top-k candidates
-fully determine the remaining work, because a dropped candidate can never
-re-enter a top-k reduction.
-
-The checkpoint is a small JSON file keyed by a configuration fingerprint;
-resuming under a different dataset/configuration is refused.
-
-Corruption recovery: every :meth:`SearchCheckpoint.save` first rotates the
-previous on-disk checkpoint to ``<path>.bak``, so a crash that truncates or
-garbles the main file (the realistic pre-emption failure mode) loses at
-most one outer iteration of progress — :meth:`SearchCheckpoint.load` falls
-back to the backup, and to a fresh start (with a warning) if both copies
-are unreadable.  The schema carries a ``version`` field; files written by a
-*newer* schema are refused cleanly rather than misparsed.
+to survive pre-emption.  The natural unit of durable progress is the §3.6
+work-division unit — one outer (``Wi``) iteration — which
+:class:`~repro.core.journal.RoundJournal` commits one frame at a time.
+This module holds what the journal, the shard artifacts and the exporters
+share: the shape-based search fingerprint that refuses a resume under a
+different dataset/configuration, the domain clause that keeps shards'
+fingerprints apart, and the directory fsync that makes atomic renames
+survive power loss.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import threading
-import warnings
-from dataclasses import dataclass, field
 
-from repro.core.reduction import TopKReducer
-from repro.core.solution import Solution
 
 def fsync_directory(dirpath: str | os.PathLike) -> None:
     """fsync a directory so renames within it survive power loss.
@@ -48,164 +34,6 @@ def fsync_directory(dirpath: str | os.PathLike) -> None:
         pass
     finally:
         os.close(fd)
-
-
-#: Current checkpoint schema version.  Files without a ``version`` field
-#: (written before the field existed) are treated as version 1; their
-#: payload schema is identical.
-CHECKPOINT_VERSION = 2
-
-
-@dataclass
-class SearchCheckpoint:
-    """Mutable resume state for one search.
-
-    Thread-safe: :meth:`record` and :meth:`save` serialize on an internal
-    lock so concurrent device worker threads can commit finished outer
-    iterations without tearing the completed-set/candidate snapshot.
-
-    Attributes:
-        fingerprint: dataset + configuration identity string.
-        completed: outer iterations already fully processed.
-        solutions: current top-k candidates.
-    """
-
-    fingerprint: str
-    completed: set[int] = field(default_factory=set)
-    solutions: list[Solution] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def load(cls, path: str | os.PathLike, fingerprint: str) -> "SearchCheckpoint":
-        """Load a checkpoint, or start fresh if ``path`` does not exist.
-
-        A corrupted (truncated/garbled/missing-field) main file falls back
-        to the ``.bak`` copy rotated by the previous :meth:`save`; if that
-        is unusable too, the search starts fresh with a warning — already
-        *committed* work is only lost as far back as the backup reaches.
-
-        Raises:
-            ValueError: if a readable file belongs to a different
-                dataset/configuration, or was written by a newer
-                checkpoint schema than this code supports.
-        """
-        path = os.fspath(path)
-        candidates = [path, path + ".bak"]
-        if not any(os.path.exists(p) for p in candidates):
-            return cls(fingerprint=fingerprint)
-        for candidate in candidates:
-            if not os.path.exists(candidate):
-                continue
-            payload = cls._read_payload(candidate)
-            if payload is None:
-                continue  # corrupt: warned inside _read_payload
-            version = payload.get("version", 1)
-            if not isinstance(version, int) or version > CHECKPOINT_VERSION:
-                raise ValueError(
-                    f"checkpoint {candidate} has schema version {version!r}, "
-                    f"newer than the supported {CHECKPOINT_VERSION}; it was "
-                    "written by a newer release — upgrade, or delete the "
-                    "checkpoint to restart"
-                )
-            if payload.get("fingerprint") != fingerprint:
-                raise ValueError(
-                    f"checkpoint {candidate} belongs to a different search "
-                    f"(fingerprint {payload.get('fingerprint')!r}, expected "
-                    f"{fingerprint!r}); delete it or change the path"
-                )
-            try:
-                return cls(
-                    fingerprint=fingerprint,
-                    completed=set(int(i) for i in payload["completed"]),
-                    solutions=[
-                        Solution(score=float(s), packed=int(p))
-                        for s, p in payload["solutions"]
-                    ],
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                warnings.warn(
-                    f"checkpoint {candidate} is malformed ({exc!r}); "
-                    "trying the next fallback",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        warnings.warn(
-            f"checkpoint {path} (and its backup) could not be recovered; "
-            "starting the search from scratch",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return cls(fingerprint=fingerprint)
-
-    @staticmethod
-    def _read_payload(candidate: str) -> dict | None:
-        """Parse one checkpoint file; ``None`` (plus a warning) if it is
-        not a JSON object."""
-        try:
-            with open(candidate, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
-            warnings.warn(
-                f"checkpoint {candidate} is corrupted ({exc}); "
-                "trying the next fallback",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        if not isinstance(payload, dict):
-            warnings.warn(
-                f"checkpoint {candidate} does not contain a JSON object; "
-                "trying the next fallback",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        return payload
-
-    def save(self, path: str | os.PathLike) -> None:
-        """Atomically write the checkpoint (write-then-rename), rotating
-        the previous copy to ``<path>.bak`` first.
-
-        Durability ordering: the temp file is fsynced before any rename,
-        and the *directory* is fsynced after the rotation — without the
-        directory sync a power loss can persist the data blocks but not
-        the rename, leaving neither the primary nor the ``.bak`` entry
-        pointing at a complete file.
-        """
-        path = os.fspath(path)
-        with self._lock:
-            payload = {
-                "version": CHECKPOINT_VERSION,
-                "fingerprint": self.fingerprint,
-                "completed": sorted(self.completed),
-                "solutions": [[s.score, s.packed] for s in self.solutions],
-            }
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-                fh.flush()
-                os.fsync(fh.fileno())
-            if os.path.exists(path):
-                os.replace(path, path + ".bak")
-            os.replace(tmp, path)
-            fsync_directory(os.path.dirname(path) or ".")
-
-    # ------------------------------------------------------------------ #
-
-    def seed_reducer(self, reducer: TopKReducer) -> None:
-        """Re-inject saved candidates into a fresh reducer."""
-        reducer.seed(self.solutions)
-
-    def record(self, wi: int, reducer: TopKReducer) -> None:
-        """Mark one outer iteration finished and snapshot the candidates."""
-        snapshot = reducer.result()  # thread-safe on the reducer's lock
-        with self._lock:
-            self.completed.add(int(wi))
-            self.solutions = snapshot
 
 
 def search_fingerprint(
@@ -236,7 +64,7 @@ def domain_clause(nb: int, iterations: "list[int] | tuple[int, ...]") -> str:
     """Fingerprint clause identifying a *restricted* outer-iteration domain.
 
     A sharded run executes only a subset of the ``nb`` outer (``Wi``)
-    iterations; its checkpoint/journal must not be confused with another
+    iterations; its journal must not be confused with another
     shard's (or with a full run's) even when every other configuration
     clause matches.  The clause digests ``nb`` plus the sorted iteration
     list, so any difference in the domain yields a different fingerprint

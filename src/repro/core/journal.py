@@ -1,16 +1,14 @@
 """Crash-safe round journal: an append-only, CRC-framed write-ahead log.
 
-:class:`~repro.core.checkpoint.SearchCheckpoint` rewrites the whole
-resume file on every commit — simple, but a commit costs O(completed)
-bytes and the crash-consistency story leans entirely on the ``.bak``
-rotation.  The journal replaces that with the classic WAL discipline:
-one *appended*, CRC-framed record per committed outer (``Wi``)
-iteration, fsynced before the commit is considered durable.  A process
-killed at **any** byte offset leaves a valid frame prefix plus at most
-one torn tail frame; recovery replays the prefix, drops the tail, and
-the (idempotent, merge-only) search re-executes only the iterations
-whose commit frame never became durable — exactly-once resume with a
-bit-identical top-k.
+The journal is the search's one resume mechanism.  It follows the
+classic WAL discipline: one *appended*, CRC-framed record per committed
+outer (``Wi``) iteration, fsynced before the commit is considered
+durable.  A process killed at **any** byte offset leaves a valid frame
+prefix plus at most one torn tail frame; recovery replays the prefix,
+drops the tail, and the (idempotent, merge-only) search re-executes only
+the iterations whose commit frame never became durable — exactly-once
+resume with a bit-identical top-k.  A file that does not start with the
+frame magic is not a journal and is refused untouched.
 
 Frame layout (little-endian)::
 
@@ -20,8 +18,9 @@ Frame layout (little-endian)::
     +----------+----------------+---------------+------------------+
 
 The first frame is always a ``header`` record carrying the journal
-schema version and the search fingerprint (same identity guard as the
-checkpoint).  Subsequent frames are ``commit`` records::
+schema version and the search fingerprint
+(:func:`~repro.core.checkpoint.search_fingerprint`).  Subsequent frames
+are ``commit`` records::
 
     {"type": "commit", "wi": 7, "solutions": [[score, packed], ...]}
 
@@ -141,9 +140,11 @@ class RoundJournal:
                 ``None`` skips the comparison (legacy callers).
 
         Raises:
-            JournalError: wrong fingerprint, mismatched header metadata,
-                newer schema version, or a duplicate commit frame
-                (exactly-once violation).
+            JournalError: a non-empty file that does not start with the
+                frame magic (not a journal: left unchanged), wrong
+                fingerprint, mismatched header metadata, newer schema
+                version, or a duplicate commit frame (exactly-once
+                violation).
         """
         path = os.fspath(path)
         parent = os.path.dirname(os.path.abspath(path))
@@ -157,6 +158,14 @@ class RoundJournal:
         if os.path.exists(path):
             with open(path, "rb") as fh:
                 data = fh.read()
+            if not _MAGIC.startswith(data[:len(_MAGIC)]):
+                # A torn header still starts with the magic; anything
+                # else is a foreign file that must not be overwritten.
+                raise JournalError(
+                    f"journal {path} is not a round journal (it does not "
+                    f"start with the {_MAGIC!r} frame magic); refusing to "
+                    "overwrite it — delete it or change the path"
+                )
             offset = 0
             while True:
                 frame = _read_frame(data, offset)

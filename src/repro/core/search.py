@@ -628,7 +628,7 @@ class Epi4TensorSearch:
         return max(1, min(requested, n_gpus))
 
     def fingerprint(self, outer_iterations: Iterable[int] | None = None) -> str:
-        """Identity string guarding checkpoint/journal resume.
+        """Identity string guarding journal resume.
 
         With ``outer_iterations`` (a restricted ``Wi`` sub-domain, e.g. one
         shard of a distributed run) the fingerprint gains a domain clause
@@ -675,7 +675,6 @@ class Epi4TensorSearch:
     def run(
         self,
         progress_callback: Callable[[int, int, Solution], None] | None = None,
-        checkpoint_path: str | os.PathLike | None = None,
         journal_path: str | os.PathLike | None = None,
         outer_iterations: Iterable[int] | None = None,
     ) -> SearchResult:
@@ -688,26 +687,20 @@ class Epi4TensorSearch:
                 the thread-parallel executor the callback is serialized
                 (called under a lock) and ``best_so_far`` is the global
                 minimum over everything scored so far.
-            checkpoint_path: optional path; resume state is loaded from it
-                (if present and matching this configuration) and re-saved
-                after every completed outer iteration.  A resumed run skips
-                finished iterations; its counters/timers cover only the
-                work actually re-executed.
             journal_path: optional path to a crash-safe round journal (see
                 :mod:`repro.core.journal`): every committed outer iteration
                 appends one fsynced CRC frame, so a process killed at any
                 byte offset resumes exactly-once with a bit-identical
-                top-k.  Composable with ``checkpoint_path``; the union of
-                both completed sets is skipped on resume.
+                top-k.  A resumed run skips committed iterations; its
+                counters/timers cover only the work actually re-executed.
             outer_iterations: optional restricted ``Wi`` domain — the
                 communication-free shard decomposition of §3.6/§4.4.  Only
                 the listed outer iterations are scheduled and executed; the
                 result's top-k is this shard's local reduction, to be
                 merged across shards by :mod:`repro.dist`.  The resume
-                fingerprint gains a domain clause so per-shard
-                checkpoint/journal files cannot cross-contaminate.
+                fingerprint gains a domain clause so per-shard journals
+                cannot cross-contaminate.
         """
-        from repro.core.checkpoint import SearchCheckpoint
         from repro.core.journal import RoundJournal
 
         self._progress_callback = progress_callback
@@ -718,9 +711,6 @@ class Epi4TensorSearch:
             domain = self._validate_domain(outer_iterations)
         self._outer_iterations = domain
         fingerprint = self.fingerprint(domain)
-        checkpoint: SearchCheckpoint | None = None
-        if checkpoint_path is not None:
-            checkpoint = SearchCheckpoint.load(checkpoint_path, fingerprint)
         journal: RoundJournal | None = None
         if journal_path is not None:
             journal = RoundJournal.open(journal_path, fingerprint)
@@ -778,12 +768,9 @@ class Epi4TensorSearch:
             self._sync_reducer = None
             self._sync_counter = 0
             done: set[int] = set()
-            if checkpoint is not None:
-                checkpoint.seed_reducer(reducer)
-                done = set(checkpoint.completed)
             if journal is not None:
                 journal.seed_reducer(reducer)
-                done |= journal.completed
+                done = set(journal.completed)
             if done:
                 self._best_seen = reducer.best
             if domain is not None:
@@ -803,9 +790,6 @@ class Epi4TensorSearch:
                 with commit_lock:
                     reducer.merge(local)
                     executed[executor.device_id].append(wi)
-                    if checkpoint is not None:
-                        checkpoint.record(wi, reducer)
-                        checkpoint.save(checkpoint_path)
                     if journal is not None:
                         # Durable (fsynced) before the commit counts; a
                         # crash after this line re-runs nothing.

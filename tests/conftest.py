@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.core.journal import _read_frame
 from repro.datasets import Dataset, generate_random_dataset
 
 # Single-core CI-friendly hypothesis profile: enough examples to matter,
@@ -40,6 +41,34 @@ def small_dataset() -> Dataset:
 def medium_dataset() -> Dataset:
     """24 SNPs x 400 samples — multiple blocks at B=4/8."""
     return generate_random_dataset(24, 400, seed=19)
+
+
+@pytest.fixture()
+def rewind_journal():
+    """``rewind(path, n_commits)``: truncate a real run's journal after its
+    header plus ``n_commits`` commit frames — the exact on-disk state of a
+    crash right after that commit.  Returns the ``wi`` ids kept, in
+    commit order."""
+
+    def rewind(path: str | os.PathLike, n_commits: int) -> list[int]:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        kept: list[int] = []
+        frame = _read_frame(data, 0)  # the header
+        assert frame is not None, f"{path} has no journal header"
+        offset = frame[1]
+        for _ in range(n_commits):
+            frame = _read_frame(data, offset)
+            assert frame is not None and frame[0]["type"] == "commit", (
+                f"{path} holds fewer than {n_commits} commit frames"
+            )
+            kept.append(frame[0]["wi"])
+            offset = frame[1]
+        with open(path, "r+b") as fh:
+            fh.truncate(offset)
+        return kept
+
+    return rewind
 
 
 @pytest.fixture()

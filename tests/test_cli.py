@@ -127,17 +127,19 @@ class TestQc:
         assert main(["qc", str(src), "--min-maf", "0.01"]) == 0
 
 
-class TestCheckpointFlag:
-    def test_search_with_checkpoint(self, tmp_path, capsys):
-        ckpt = tmp_path / "run.ckpt"
+class TestJournalFlag:
+    def test_search_resumes_from_journal(self, tmp_path, capsys):
+        journal = tmp_path / "run.journal"
         args = ["search", "--snps", "10", "--samples", "80",
-                "--block-size", "5", "--checkpoint", str(ckpt)]
+                "--block-size", "5", "--journal", str(journal)]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert ckpt.exists()
+        assert journal.exists()
         assert main(args) == 0  # resume: nothing left to do, same answer
         second = capsys.readouterr().out
         assert first.splitlines()[1] == second.splitlines()[1]  # same #1 line
+        assert "journal   : 0 commit(s) appended" in second
+        assert "journal   : 0 commit(s) appended" not in first
 
 
 class TestGenerate:

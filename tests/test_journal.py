@@ -21,7 +21,10 @@ from repro.core.journal import (
     _frame,
 )
 from repro.core.reduction import TopKReducer
+from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.core.solution import Solution
+from repro.datasets import generate_random_dataset
+from repro.perfmodel.workload import outer_iteration_tensor_ops
 
 FP = "M8r8c48k48B4Eand_popcSk2K3PouterG1"
 
@@ -115,6 +118,57 @@ class TestIdentityGuard:
             fh.write(_frame({"type": "mystery"}))
         with pytest.raises(JournalError, match="mystery"):
             _open(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            json.dumps(
+                {
+                    "version": 2,
+                    "fingerprint": FP,
+                    "completed": [0, 1],
+                    "solutions": [[3.0, 7]],
+                }
+            ).encode(),
+            b"arbitrary text, not a journal\n",
+        ],
+        ids=["checkpoint-json", "text"],
+    )
+    def test_foreign_file_refused_and_left_unchanged(self, tmp_path, content):
+        path = tmp_path / "run.journal"
+        path.write_bytes(content)
+        with pytest.raises(JournalError, match="not a round journal"):
+            _open(path)
+        assert path.read_bytes() == content
+
+
+class TestSearchResume:
+    def test_block_size_change_rejected(self, tmp_path):
+        ds = generate_random_dataset(16, 120, seed=5)
+        path = tmp_path / "run.journal"
+        Epi4TensorSearch(ds, SearchConfig(block_size=4)).run(journal_path=path)
+        with pytest.raises(JournalError, match="different search"):
+            Epi4TensorSearch(ds, SearchConfig(block_size=8)).run(
+                journal_path=path
+            )
+
+    def test_resumed_run_counts_only_reexecuted_ops(
+        self, tmp_path, rewind_journal
+    ):
+        ds = generate_random_dataset(16, 120, seed=2)
+        path = tmp_path / "run.journal"
+        reference = Epi4TensorSearch(ds, SearchConfig(block_size=4)).run()
+        Epi4TensorSearch(ds, SearchConfig(block_size=4)).run(journal_path=path)
+        assert rewind_journal(path, 2) == [0, 1]
+        resumed = Epi4TensorSearch(ds, SearchConfig(block_size=4)).run(
+            journal_path=path
+        )
+        assert resumed.solution == reference.solution
+        # Only iterations 2 and 3 were re-executed.
+        expected_ops = sum(
+            outer_iteration_tensor_ops(wi, 4, 4, 120) for wi in (2, 3)
+        )
+        assert resumed.counters.total_tensor_ops_raw == expected_ops
 
 
 class TestTornTailRecovery:

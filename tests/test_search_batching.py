@@ -7,7 +7,7 @@ Three layers under test:
   must record the fused problem count on their :class:`GemmShape`;
 - the search loop (``batch_rounds``): every group size must reproduce
   the sequential seed results exactly —
-  under faults, across partitions, and through checkpoint resume;
+  under faults, across partitions, and through journal resume;
 - the accounting: executed launch counts must match the analytic closed
   forms of :func:`repro.perfmodel.workload.search_gemm_launches`, while
   per-problem totals (``gemm_problems``) stay batch-invariant, and the
@@ -15,7 +15,6 @@ Three layers under test:
   batching.
 """
 
-import json
 from math import comb
 
 import numpy as np
@@ -175,19 +174,16 @@ class TestPipelineBitIdentity:
         )
         assert _solutions(got) == _solutions(ref)
 
-    def test_checkpoint_resume(self, tmp_path):
+    def test_checkpoint_resume(self, tmp_path, rewind_journal):
         ds = generate_random_dataset(16, 120, seed=25)
         base = dict(block_size=4, top_k=3, batch_rounds=8)
-        path = tmp_path / "batched.ckpt"
+        path = tmp_path / "batched.journal"
         search = Epi4TensorSearch(ds, SearchConfig(**base))
-        full = search.run(checkpoint_path=path)
-        payload = json.loads(path.read_text())
-        assert sorted(payload["completed"]) == list(range(4))
+        full = search.run(journal_path=path)
         # Rewind to two committed iterations and resume.
-        payload["completed"] = [0, 1]
-        path.write_text(json.dumps(payload))
+        assert rewind_journal(path, 2) == [0, 1]
         resumed = Epi4TensorSearch(ds, SearchConfig(**base)).run(
-            checkpoint_path=path
+            journal_path=path
         )
         assert _solutions(resumed) == _solutions(full)
         # A resumed batched run also matches the sequential reference.

@@ -5,7 +5,7 @@ The operand cache only changes *which launches execute*; the thread-parallel
 executor only changes *which host thread drives which outer iteration*.
 Neither may perturb a single result bit: ``SearchResult.solution`` and
 ``top_solutions`` are compared exactly (packed indices and float scores),
-across engines, modes, partitions and checkpoint resume.
+across engines, modes, partitions and journal resume.
 """
 
 import pytest
@@ -155,34 +155,32 @@ class TestThreadedEquivalence:
 
 
 class TestCheckpointResume:
-    def test_resume_with_cache_and_threads(self, tmp_path):
+    def test_resume_with_cache_and_threads(self, tmp_path, rewind_journal):
         ds = generate_random_dataset(16, 130, seed=12)
         base = dict(block_size=4, top_k=3, cache_mb=float("inf"))
-        path = tmp_path / "ck.json"
+        path = tmp_path / "run.journal"
 
         # Run the full search once for the reference.
         reference = _run(ds, **base)
 
         # First attempt: sequential run under the same fingerprint (the
         # fingerprint pins n_gpus — resuming under a different device count
-        # is refused by design), then simulate pre-emption by truncating
-        # the checkpoint to a prefix of completed iterations.
+        # is refused by design), then simulate pre-emption by rewinding
+        # the journal to its first two commits.
         search = Epi4TensorSearch(
             ds, SearchConfig(host_threads=1, **base), n_gpus=4
         )
-        full = search.run(checkpoint_path=str(path))
-        import json
+        full = search.run(journal_path=str(path))
+        kept = rewind_journal(path, 2)
 
-        payload = json.loads(path.read_text())
-        payload["completed"] = payload["completed"][:2]
-        path.write_text(json.dumps(payload))
-
-        # Resume (threaded + cached) from the truncated checkpoint.
+        # Resume (threaded + cached) from the rewound journal.
         resumed = Epi4TensorSearch(
             ds, SearchConfig(host_threads=4, **base), n_gpus=4
-        ).run(checkpoint_path=str(path))
+        ).run(journal_path=str(path))
         _assert_identical(reference, resumed)
         _assert_identical(full, resumed)
+        executed = {wi for dev in resumed.executed_assignment for wi in dev}
+        assert executed == set(range(resumed.block_scheme.nb)) - set(kept)
 
     def test_progress_callback_threadsafe(self):
         ds = generate_random_dataset(12, 120, seed=13)
@@ -385,23 +383,19 @@ class TestPruneEquivalence:
             on = _run(ds, n_gpus=4, host_threads=4, prune=True, **base)
             _assert_identical(off, on)
 
-    def test_resume_with_pruning(self, tmp_path):
-        import json
-
+    def test_resume_with_pruning(self, tmp_path, rewind_journal):
         ds = generate_random_dataset(16, 130, seed=12)
         base = dict(block_size=4, top_k=3, prune=True)
         reference = _run(ds, block_size=4, top_k=3, prune=False)
-        path = tmp_path / "ck.json"
+        path = tmp_path / "run.journal"
         search = Epi4TensorSearch(ds, SearchConfig(**base))
-        search.run(checkpoint_path=str(path))
-        payload = json.loads(path.read_text())
-        payload["completed"] = payload["completed"][:2]
-        path.write_text(json.dumps(payload))
-        # The resumed run warm-starts its reducer from the checkpoint's
+        search.run(journal_path=str(path))
+        rewind_journal(path, 2)
+        # The resumed run warm-starts its reducer from the journal's
         # partial top-k — the prune threshold starts tight, not at +inf —
         # and must still reproduce the unpruned result bit for bit.
         resumed = Epi4TensorSearch(ds, SearchConfig(**base)).run(
-            checkpoint_path=str(path)
+            journal_path=str(path)
         )
         _assert_identical(reference, resumed)
 

@@ -6,8 +6,8 @@ degradation — :meth:`Epi4TensorSearch.run` returns bit-identical
 ``top_solutions`` to the fault-free baseline across both engines and both
 partitions, and the :class:`FaultLog` accounts for every injected fault.
 A search with all-but-one device quarantined still completes; a
-corrupted-checkpoint resume recovers without losing committed ``Wi``
-iterations beyond the rotated backup.
+journal resume after a fault-storm abort and a garbled journal tail
+recovers every committed ``Wi`` iteration.
 
 The whole suite is marked ``faults`` so CI can replay it under a seed
 matrix (``EPI4TENSOR_FAULT_SEED``).
@@ -18,7 +18,7 @@ import warnings
 
 import pytest
 
-from repro.core.checkpoint import SearchCheckpoint, search_fingerprint
+from repro.core.journal import RoundJournal
 from repro.core.resilience import SearchAbortedError
 from repro.core.search import Epi4TensorSearch, SearchConfig
 from repro.datasets import generate_random_dataset
@@ -242,8 +242,8 @@ class TestDegradedFleet:
 
 class TestCheckpointRecoveryUnderFaults:
     def test_corrupted_checkpoint_resume_recovers_committed_work(self, tmp_path):
-        ds = _dataset(12, 96)  # 3 outer iterations => >= 2 checkpoint saves
-        ckpt = tmp_path / "search.ckpt"
+        ds = _dataset(12, 96)  # 3 outer iterations => >= 2 journal commits
+        path = tmp_path / "search.journal"
         config = dict(block_size=4, top_k=3, backoff_base_ms=0.0)
         _, baseline = _run(ds, **config)
 
@@ -259,38 +259,27 @@ class TestCheckpointRecoveryUnderFaults:
             n_gpus=1,
         )
         with pytest.raises(SearchAbortedError):
-            search1.run(checkpoint_path=ckpt)
-        assert ckpt.exists()
-        assert ckpt.with_suffix(".ckpt.bak").exists()
+            search1.run(journal_path=path)
 
-        # Pre-emption garbles the main checkpoint file.
-        ckpt.write_text("{\"version\": 2, \"truncat")
+        # Pre-emption garbles the journal tail: a torn frame preamble.
+        with open(path, "ab") as fh:
+            fh.write(b"EJ\x40\x00\x00\x00garbled")
 
-        # The loader falls back to the rotated backup: committed work is
-        # only lost as far back as the backup reaches (>= 1 iteration).
-        fingerprint = search_fingerprint(
-            search1.encoded.n_snps,
-            search1.encoded.n_real_snps,
-            search1.encoded.n_controls,
-            search1.encoded.n_cases,
-            4,
-            search1.cluster.gpus[0].engine.name,
-            search1._score_name,
-            3,
-            "outer",
-            1,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # fallback warns, fresh would too
-            with pytest.warns(RuntimeWarning, match="corrupted"):
-                recovered = SearchCheckpoint.load(ckpt, fingerprint)
-        assert recovered.completed  # committed iterations survived
+        # Recovery drops only the torn tail: every commit made before
+        # the abort survives.
+        with pytest.warns(RuntimeWarning, match="torn"):
+            with RoundJournal.open(path, search1.fingerprint()) as journal:
+                assert journal.completed == {0, 1}
 
-        # Run 2: fault-free resume completes and matches the baseline.
+        # Run 2: fault-free resume re-executes only the aborted iteration
+        # and matches the baseline.
         search2 = Epi4TensorSearch(
             ds, SearchConfig(**config), n_gpus=1
         )
-        resumed = search2.run(checkpoint_path=ckpt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the tail is already dropped
+            resumed = search2.run(journal_path=path)
+        assert resumed.executed_assignment == [[2]]
         assert _solutions(resumed) == _solutions(baseline)
 
 
