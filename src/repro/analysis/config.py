@@ -168,12 +168,6 @@ GUARDED_BY: tuple[GuardSpec, ...] = (
         ),
     ),
     GuardSpec(
-        module="repro.core.resilience",
-        cls="ResilientWorkQueue",
-        lock="_cond",
-        fields=("_pending", "_excluded", "_workers", "_in_flight", "_completed"),
-    ),
-    GuardSpec(
         module="repro.core.watchdog",
         cls="LaunchWatchdog",
         lock="_lock",

@@ -107,11 +107,6 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
         "bit-identical for any value)",
     )
     p.add_argument(
-        "--host-threads", type=int, default=None, metavar="T",
-        help="host worker threads driving the devices (default: one per "
-        "GPU, capped at the host CPU count)",
-    )
-    p.add_argument(
         "--max-retries", type=int, default=2, metavar="R",
         help="retries a failed outer iteration gets on the same device "
         "before it is requeued to surviving devices (default: 2)",
@@ -143,12 +138,6 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
         help="memory-pressure governor: degrade footprint (cache budget, "
         "batch_rounds, chunk cells, triplet cache — all result-neutral) "
         "and retry on device OOM instead of aborting (default: on)",
-    )
-    p.add_argument(
-        "--probation-rounds", type=int, default=None, metavar="K",
-        help="readmit a quarantined device after K committed iterations "
-        "via a canary iteration (exponential re-quarantine on failure; "
-        "default: quarantine is permanent)",
     )
     p.add_argument(
         "--prune", default="on", choices=("on", "off"),
@@ -315,7 +304,6 @@ def _search_config_from_args(args: argparse.Namespace):
         autotune=args.autotune,
         cache_mb=args.cache_mb,
         batch_rounds=args.batch_rounds,
-        host_threads=args.host_threads,
         max_retries=args.max_retries,
         backoff_base_ms=args.backoff_base_ms,
         quarantine_after=args.quarantine_after,
@@ -323,7 +311,6 @@ def _search_config_from_args(args: argparse.Namespace):
         deadline_ms=args.deadline_ms,
         pressure=args.pressure == "on",
         pressure_relax_rounds=args.pressure_relax_rounds,
-        probation_rounds=args.probation_rounds,
         prune=args.prune == "on",
         prune_sync_rounds=args.prune_sync_rounds,
         **config_kwargs,
@@ -578,9 +565,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 print(f"pressure  : {fl.total_pressure_degrades} ladder "
                       f"step(s) down under memory pressure "
                       f"(final level {level:.0f})")
-            if fl.total_canaries:
-                print(f"probation : {fl.total_canaries} canary iteration(s), "
-                      f"{fl.total_readmits} device(s) readmitted")
         if args.journal:
             commits = result.metrics.total("epi4_journal_commits_total")
             replayed = result.metrics.total("epi4_journal_replayed_total")

@@ -18,7 +18,6 @@ from repro.core.blocks import (
 )
 from repro.core.resilience import (
     FaultLog,
-    ResilientWorkQueue,
     RetryPolicy,
     SearchAbortedError,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "Epi4TensorSearch",
     "FaultLog",
     "MAX_SNP_INDEX",
-    "ResilientWorkQueue",
     "RetryPolicy",
     "SearchAbortedError",
     "SearchConfig",

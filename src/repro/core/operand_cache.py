@@ -22,10 +22,10 @@ a first-class component).
 
 Capacity is accounted in *bytes* of stored payload (``nbytes``), not entry
 counts, so the cache composes with the §3.3 memory-fit check.  Lookups are
-**single-flight**: when several device threads miss on the same key
+**single-flight**: when several callers miss on the same key
 concurrently, exactly one computes while the others wait — kernel-counter
-accounting therefore stays exact (one launch per unique operand) even
-under the thread-parallel multi-device executor.
+accounting therefore stays exact (one launch per unique operand) whoever
+wins the miss.
 
 Hit/miss/eviction totals are surfaced through
 :class:`~repro.device.virtual_gpu.KernelCounters`; a cache hit skips the

@@ -67,11 +67,11 @@ class TopKReducer:
     search (the validity mask guarantees it), so no dedup is needed.
 
     Thread-safe: all mutators and accessors serialize on an internal lock,
-    so device worker threads can :meth:`merge` their local reductions into
-    a shared global reducer concurrently.  The result is order-independent
-    — "keep the k smallest" over a totally ordered, deduplicated candidate
-    set is associative and commutative — which is what keeps threaded runs
-    bit-identical to sequential ones.
+    so concurrent callers can :meth:`merge` local reductions into a shared
+    global reducer.  The result is order-independent — "keep the k
+    smallest" over a totally ordered, deduplicated candidate set is
+    associative and commutative — which is what keeps multi-device and
+    sharded runs bit-identical to single-device ones.
     """
 
     def __init__(self, k: int) -> None:

@@ -17,26 +17,25 @@ State machine per device::
                  |         +--(retries exhausted)--> iteration requeued
                  |                                   to surviving devices
                  +--(quarantine_after consecutive
-                     exhausted iterations)---------> quarantined (worker
-                                                     exits; device takes
-                                                     no further work)
+                     exhausted iterations)---------> quarantined (device
+                                                     takes no further work
+                                                     for the rest of the run)
 
 A search aborts (:class:`SearchAbortedError`) only when an iteration has
-been requeued past every device still alive — i.e. no healthy device can
-make progress.
+failed on every device still alive — i.e. no healthy device can make
+progress.
 
-This module is deliberately search-agnostic: :class:`RetryPolicy`,
-:class:`FaultLog` and :class:`ResilientWorkQueue` know nothing about
-epistasis; :mod:`repro.core.search` wires them to the device loop.
+This module is deliberately search-agnostic: :class:`RetryPolicy` and
+:class:`FaultLog` know nothing about epistasis; :mod:`repro.core.search`
+wires them to the device loop.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -115,8 +114,7 @@ class FaultIncident:
         action: what the resilience layer did — ``"retry"``,
             ``"requeue"``, ``"quarantine"``, ``"degraded"``,
             ``"watchdog"`` (a launch cancelled by deadline),
-            ``"degrade"`` / ``"expand"`` (memory-pressure ladder moves),
-            ``"canary"`` / ``"readmit"`` (quarantine probation) or
+            ``"degrade"`` / ``"expand"`` (memory-pressure ladder moves) or
             ``"abort"``.
         wait_seconds: backoff wait preceding a retry (0 otherwise).
     """
@@ -144,8 +142,7 @@ class DeviceFaultLog:
         backoff_seconds: total time spent in backoff.
         degraded_rounds: rounds re-executed through the independent
             bitwise path after corruption / self-check failure.
-        quarantined: whether the device is *currently* quarantined
-            (probation readmission clears it).
+        quarantined: whether the device is quarantined.
         consecutive_exhausted: current run of exhausted iterations
             (internal quarantine trigger state).
         failures_by_kind: failure count per fault kind (``transient``,
@@ -156,8 +153,6 @@ class DeviceFaultLog:
             ``DeviceMemoryError`` triggered.
         pressure_expands: ladder releases credited to this device's
             clean rounds.
-        canaries: probation canary iterations run on this device.
-        readmits: times the device was readmitted from quarantine.
     """
 
     device_id: int
@@ -174,8 +169,6 @@ class DeviceFaultLog:
     watchdog_trips: int = 0
     pressure_degrades: int = 0
     pressure_expands: int = 0
-    canaries: int = 0
-    readmits: int = 0
 
 
 @dataclass
@@ -290,27 +283,6 @@ class FaultLog:
                 FaultIncident(device_id, wi, step, f"level-{level}", action)
             )
 
-    def record_canary(self, device_id: int, wi: int | None, ok: bool) -> None:
-        """One probation canary iteration (``ok`` = it committed)."""
-        with self._lock:
-            self.devices[device_id].canaries += 1
-            self.incidents.append(
-                FaultIncident(
-                    device_id, wi, "canary", "ok" if ok else "fail", "canary"
-                )
-            )
-
-    def record_readmit(self, device_id: int) -> None:
-        """A canary succeeded: the device leaves quarantine."""
-        with self._lock:
-            dev = self.devices[device_id]
-            dev.readmits += 1
-            dev.quarantined = False
-            dev.consecutive_exhausted = 0
-            self.incidents.append(
-                FaultIncident(device_id, None, "device", "probation", "readmit")
-            )
-
     # ------------------------------------------------------------------ #
     # Aggregates
 
@@ -349,16 +321,6 @@ class FaultLog:
         with self._lock:
             return sum(d.pressure_expands for d in self.devices)
 
-    @property
-    def total_canaries(self) -> int:
-        with self._lock:
-            return sum(d.canaries for d in self.devices)
-
-    @property
-    def total_readmits(self) -> int:
-        with self._lock:
-            return sum(d.readmits for d in self.devices)
-
     def failures_by_kind(self) -> dict:
         """Failure counts summed over devices, keyed by fault kind."""
         with self._lock:
@@ -393,8 +355,6 @@ class FaultLog:
                 or d.quarantined
                 or d.watchdog_trips
                 or d.pressure_degrades
-                or d.canaries
-                or d.readmits
                 for d in self.devices
             )
 
@@ -433,12 +393,6 @@ class FaultLog:
                     d.pressure_expands,
                     device=dev,
                 )
-                registry.inc(
-                    "epi4_probation_canaries_total", d.canaries, device=dev
-                )
-                registry.inc(
-                    "epi4_probation_readmits_total", d.readmits, device=dev
-                )
             actions: dict[str, int] = {}
             for incident in self.incidents:
                 actions[incident.action] = actions.get(incident.action, 0) + 1
@@ -453,8 +407,6 @@ class FaultLog:
             lines = []
             for d in self.devices:
                 state = "QUARANTINED" if d.quarantined else "healthy"
-                if d.readmits and not d.quarantined:
-                    state = f"healthy (readmitted x{d.readmits})"
                 line = (
                     f"device {d.device_id}: {state}; "
                     f"{d.attempts} attempts, {d.failures} failures, "
@@ -469,246 +421,7 @@ class FaultLog:
                     extras.append(
                         f"{d.pressure_degrades} pressure degrades"
                     )
-                if d.canaries:
-                    extras.append(f"{d.canaries} canaries")
                 if extras:
                     line += ", " + ", ".join(extras)
                 lines.append(line)
             return lines
-
-
-@dataclass(frozen=True)
-class ProbationPolicy:
-    """When and how a quarantined device may earn its way back.
-
-    Cooldowns are measured in *committed outer iterations*, not
-    wall-clock time, so probation schedules are deterministic and
-    test-controllable: after ``cooldown_rounds`` commits land cluster-
-    wide, the device runs one **canary** iteration.  Success readmits
-    it; failure re-quarantines with the cooldown scaled by
-    ``backoff_factor`` (exponential), up to ``max_canaries`` total
-    canary attempts per device — after that the device is retired for
-    the rest of the run (a persistent storm, not a transient one).
-
-    Attributes:
-        cooldown_rounds: commits to wait before the first canary.
-        backoff_factor: cooldown multiplier after each failed canary.
-        max_canaries: canary attempts per device before giving up.
-    """
-
-    cooldown_rounds: int
-    backoff_factor: float = 2.0
-    max_canaries: int = 5
-
-    def __post_init__(self) -> None:
-        if self.cooldown_rounds < 1:
-            raise ValueError(
-                f"cooldown_rounds must be >= 1, got {self.cooldown_rounds}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1.0, got {self.backoff_factor}"
-            )
-        if self.max_canaries < 1:
-            raise ValueError(
-                f"max_canaries must be >= 1, got {self.max_canaries}"
-            )
-
-
-@dataclass
-class _ProbationState:
-    cooldown: float
-    quarantined_at: int
-    canaries: int = 0
-
-
-class ProbationManager:
-    """Per-device probation bookkeeping (thread-safe, search-agnostic).
-
-    The search calls :meth:`on_quarantine` when it quarantines a device,
-    parks the device's worker until the cluster-wide commit count
-    reaches :meth:`due_at`, then runs a canary and reports the outcome
-    via :meth:`on_canary_success` / :meth:`on_canary_failure`.
-    """
-
-    def __init__(self, policy: ProbationPolicy) -> None:
-        self.policy = policy
-        self._lock = threading.Lock()
-        self._states: dict[int, _ProbationState] = {}
-
-    def on_quarantine(self, device_id: int, committed: int) -> None:
-        """Start (or restart) probation for a freshly quarantined device."""
-        with self._lock:
-            state = self._states.get(device_id)
-            if state is None:
-                self._states[device_id] = _ProbationState(
-                    cooldown=float(self.policy.cooldown_rounds),
-                    quarantined_at=committed,
-                )
-            else:
-                state.quarantined_at = committed
-
-    def due_at(self, device_id: int) -> int:
-        """Commit count at which this device's next canary is due."""
-        with self._lock:
-            state = self._states[device_id]
-            return state.quarantined_at + max(1, int(state.cooldown))
-
-    def may_probe(self, device_id: int) -> bool:
-        """Whether the device still has canary attempts left."""
-        with self._lock:
-            state = self._states.get(device_id)
-            if state is None:
-                return True
-            return state.canaries < self.policy.max_canaries
-
-    def on_canary_failure(self, device_id: int, committed: int) -> bool:
-        """Record a failed canary; returns ``True`` while another canary
-        attempt remains (cooldown is backed off exponentially)."""
-        with self._lock:
-            state = self._states[device_id]
-            state.canaries += 1
-            state.cooldown *= self.policy.backoff_factor
-            state.quarantined_at = committed
-            return state.canaries < self.policy.max_canaries
-
-    def on_canary_success(self, device_id: int) -> None:
-        """The device is readmitted; probation state resets so a future
-        quarantine starts from the base cooldown again."""
-        with self._lock:
-            self._states.pop(device_id, None)
-
-
-class ResilientWorkQueue:
-    """A shared outer-iteration queue that survives worker attrition.
-
-    Extends the PR-1 dynamic work queue with the two operations fault
-    tolerance needs:
-
-    - :meth:`requeue` — put a failed iteration back for *other* devices
-      (the surrendering device is excluded from that iteration so the
-      queue never hands it straight back);
-    - worker registration — a worker that quarantines (or simply runs
-      out of eligible work) unregisters, and the queue detects the
-      moment remaining work has been excluded by every surviving device
-      and raises :class:`SearchAbortedError` instead of deadlocking.
-
-    :meth:`get` blocks while another worker still has an iteration in
-    flight (it might be requeued), which is what guarantees no work is
-    lost when a device fails mid-iteration.
-    """
-
-    def __init__(self, iterations: Iterable[int]) -> None:
-        self._pending: deque[int] = deque(iterations)
-        self._excluded: dict[int, set[int]] = {}
-        self._workers: set[int] = set()
-        self._in_flight = 0
-        self._completed = 0
-        self._cond = threading.Condition()
-
-    @property
-    def committed(self) -> int:
-        """Iterations committed via :meth:`done` so far."""
-        with self._cond:
-            return self._completed
-
-    @property
-    def unfinished(self) -> bool:
-        """Work remains pending or in flight (used by the parallel path's
-        completeness guard after the worker pool drains)."""
-        with self._cond:
-            return bool(self._pending or self._in_flight)
-
-    def register(self, device_id: int) -> None:
-        with self._cond:
-            self._workers.add(device_id)
-
-    def unregister(self, device_id: int) -> None:
-        with self._cond:
-            self._workers.discard(device_id)
-            self._cond.notify_all()
-
-    def excluded_devices(self, wi: int) -> set[int]:
-        with self._cond:
-            return set(self._excluded.get(wi, ()))
-
-    # ------------------------------------------------------------------ #
-
-    def get(self, device_id: int) -> int | None:
-        """Next iteration this device may run, or ``None`` when the
-        search is complete (or this device can contribute nothing more).
-
-        Raises:
-            SearchAbortedError: work remains that no registered device is
-                allowed to run.
-        """
-        with self._cond:
-            while True:
-                for _ in range(len(self._pending)):
-                    wi = self._pending.popleft()
-                    if device_id not in self._excluded.get(wi, ()):
-                        self._in_flight += 1
-                        return wi
-                    self._pending.append(wi)  # keep issue order for others
-                if not self._pending and self._in_flight == 0:
-                    return None
-                if self._pending and self._none_eligible_locked():
-                    raise SearchAbortedError(
-                        f"iterations {sorted(self._pending)} failed on every "
-                        "available device (all surviving devices exhausted "
-                        "their retries); search cannot complete"
-                    )
-                if self._pending and all(
-                    device_id in self._excluded.get(wi, ())
-                    for wi in self._pending
-                ) and self._in_flight == 0:
-                    # Everything left is excluded for *this* device but
-                    # other registered workers can still take it.
-                    return None
-                self._cond.wait()
-
-    def _none_eligible_locked(self) -> bool:
-        return all(
-            self._workers <= self._excluded.get(wi, set())
-            for wi in self._pending
-        )
-
-    def done(self, wi: int) -> None:
-        """The iteration committed; release its in-flight slot."""
-        with self._cond:
-            self._in_flight -= 1
-            self._completed += 1
-            self._cond.notify_all()
-
-    def wait_probation(self, target_commits: int) -> str:
-        """Park a quarantined device's worker until its canary is due.
-
-        The caller must have :meth:`unregister`-ed first (a parked
-        worker takes no part in the abort calculus).  Returns:
-
-        - ``"due"`` — ``target_commits`` iterations have committed; run
-          the canary.
-        - ``"emergency"`` — work remains but *no* registered worker is
-          left to advance the commit count (the whole fleet is
-          quarantined); the canary should run immediately, cooldown
-          notwithstanding, or the search can never finish.
-        - ``"drained"`` — the search completed without this device; no
-          canary is needed.
-        """
-        with self._cond:
-            while True:
-                if not self._pending and self._in_flight == 0:
-                    return "drained"
-                if self._completed >= target_commits:
-                    return "due"
-                if not self._workers and self._in_flight == 0:
-                    return "emergency"
-                self._cond.wait()
-
-    def requeue(self, wi: int, exclude_device: int) -> None:
-        """Return a failed iteration to the queue for other devices."""
-        with self._cond:
-            self._excluded.setdefault(wi, set()).add(exclude_device)
-            self._pending.append(wi)
-            self._in_flight -= 1
-            self._cond.notify_all()

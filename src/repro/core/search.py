@@ -10,12 +10,13 @@ simulated tensor-core substrate:
    combine/sweep ``W x Y`` and ``X x Y``; per round ``(Wi, Xi, Yi, Zi)``:
    combine ``Y x Z``, run the 4-way tensor GEMM, complete + score + reduce;
 4. multi-GPU: outer (``Wi``) iterations are dynamically scheduled over the
-   cluster (§3.6) — one host worker thread per device pulls the next
-   unprocessed iteration from a shared queue, the Python-level realization
-   of the paper's one-thread-per-GPU OpenMP ``schedule(dynamic)``.  Each
-   device reduces locally, the host reduces at the end.
+   cluster (§3.6) — the paper's one-thread-per-GPU OpenMP
+   ``schedule(dynamic)`` is modelled on simulated device clocks, and the
+   host replays the resulting assignment device by device.  Each device
+   reduces locally, the host reduces at the end.  Real host parallelism
+   comes from :mod:`repro.dist` shard processes.
 
-Three hot-path optimizations ride on top of the seed algorithm, all exactly
+Two hot-path optimizations ride on top of the seed algorithm, all exactly
 result-preserving:
 
 - a **round-operand cache** (:mod:`repro.core.operand_cache`): the loop
@@ -25,10 +26,6 @@ result-preserving:
   the loop-invariant work is hoisted — computed on first use, served from
   a byte-bounded LRU afterwards.  Cache hits skip kernel-launch
   accounting, so :class:`KernelCounters` always reflect executed work.
-- a **thread-parallel multi-device executor**: with
-  ``host_threads > 1`` the per-GPU loops actually run concurrently
-  (NumPy's BLAS and bit-ops release the GIL, so ``dense``-mode rounds
-  overlap for a real wall-clock win on multicore hosts).
 - **batched rounds**: with ``batch_rounds > 1`` the ``yz`` combines and
   4-way GEMMs of consecutive rounds sharing one ``(Wi, Xi)`` pair are
   fused into wide batched launches (§3.3 launch-overhead amortization);
@@ -46,7 +43,6 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -67,13 +63,10 @@ from repro.core.autotune import AutotuneDecision, autotune_applyscore
 from repro.core.blocks import BlockScheme
 from repro.core.operand_cache import CacheStats, OperandCache
 from repro.core.pairwise import LowOrderTables, pairw_pop
-from repro.core.pressure import PressureGovernor
+from repro.core.pressure import MIN_CHUNK_CELLS, PressureGovernor
 from repro.core.reduction import TopKReducer, reduce_solutions
 from repro.core.resilience import (
     FaultLog,
-    ProbationManager,
-    ProbationPolicy,
-    ResilientWorkQueue,
     RetryPolicy,
     SearchAbortedError,
 )
@@ -125,7 +118,9 @@ class SearchConfig:
             dimension into chunks of this many bits and sum the partial
             corners — the paper's mitigation for the Turing large-``N``
             cliff.  Must be a multiple of 64.
-        max_chunk_cells: peak materialized table cells in ``applyScore``.
+        max_chunk_cells: peak materialized table cells in ``applyScore``
+            (at least 81, one full ``3^4`` table — the floor of the
+            memory-pressure ladder).
         top_k: number of ranked solutions to report (1 = the paper's
             single-best reduction).
         selfcheck: re-derive every round's best quad through an independent
@@ -143,11 +138,6 @@ class SearchConfig:
             is unbounded (charged to the memory model at the full working
             set).  Results are bit-identical either way — the cache only
             changes which launches execute.
-        host_threads: host worker threads driving the devices.  ``None``
-            picks ``min(n_gpus, cpu_count)``; ``1`` forces the sequential
-            seed path; values above the device count are capped (the
-            model is one thread per GPU, §3.6).  Ignored by the
-            ``"samples"`` partition, whose devices cooperate per round.
         max_retries: additional attempts a failed outer iteration gets on
             the same device before it is requeued to surviving devices
             (see :mod:`repro.core.resilience`).
@@ -198,13 +188,6 @@ class SearchConfig:
             knob is result-neutral, so results stay bit-identical.
         pressure_relax_rounds: consecutive clean rounds before the
             governor re-expands one pressure level.
-        probation_rounds: cooldown (in committed outer iterations)
-            before a quarantined device runs a readmission canary; on
-            canary success the device returns to service, on failure it
-            re-quarantines with exponentially increased cooldown.
-            ``None`` (the default) keeps quarantine permanent for the
-            run.  Only the thread-parallel executor parks and readmits
-            workers; the sequential replay ignores probation.
         prune: enable the admissible branch-and-bound gate (see
             :mod:`repro.scoring.bounds`): quads whose K2 lower bound
             exceeds the current top-k threshold are dropped before
@@ -234,7 +217,6 @@ class SearchConfig:
     partition: str = "outer"
     selfcheck: bool = False
     cache_mb: float | None = None
-    host_threads: int | None = None
     max_retries: int = 2
     backoff_base_ms: float = 10.0
     quarantine_after: int = 2
@@ -246,7 +228,6 @@ class SearchConfig:
     deadline_ms: float | None = None
     pressure: bool = True
     pressure_relax_rounds: int = 64
-    probation_rounds: int | None = None
     prune: bool = True
     prune_sync_rounds: int | None = None
 
@@ -268,6 +249,11 @@ class SearchConfig:
                 "sample_chunk_bits must be a positive multiple of 64, "
                 f"got {self.sample_chunk_bits}"
             )
+        if self.max_chunk_cells < MIN_CHUNK_CELLS:
+            raise ValueError(
+                f"max_chunk_cells must be >= {MIN_CHUNK_CELLS} (one full "
+                f"3^4 table), got {self.max_chunk_cells}"
+            )
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
         if self.partition not in ("outer", "samples"):
@@ -280,10 +266,6 @@ class SearchConfig:
             raise ValueError(
                 f"cache_mb must be >= 0 (or inf/None), got {self.cache_mb}"
             )
-        if self.host_threads is not None and self.host_threads < 1:
-            raise ValueError(
-                f"host_threads must be >= 1, got {self.host_threads}"
-            )
         if self.deadline_ms is not None and not self.deadline_ms > 0:
             raise ValueError(
                 f"deadline_ms must be > 0, got {self.deadline_ms}"
@@ -292,10 +274,6 @@ class SearchConfig:
             raise ValueError(
                 "pressure_relax_rounds must be >= 1, "
                 f"got {self.pressure_relax_rounds}"
-            )
-        if self.probation_rounds is not None and self.probation_rounds < 1:
-            raise ValueError(
-                f"probation_rounds must be >= 1, got {self.probation_rounds}"
             )
         if self.prune_sync_rounds is not None and self.prune_sync_rounds < 1:
             raise ValueError(
@@ -345,15 +323,14 @@ class SearchResult:
             eviction totals included).
         per_device_counters: one :class:`KernelCounters` per device.
         schedule: the modelled multi-GPU outer-loop schedule (also set for
-            1 GPU).  Under the thread-parallel executor the *actual*
-            device assignment is dynamic; see ``executed_assignment``.
+            1 GPU).
         executed_assignment: outer iterations actually run per device, in
-            completion-commit order (equals ``schedule.assignment`` for
-            the sequential replay path).
+            commit order.  The host replays the modelled schedule, so on a
+            fault-free ``"outer"`` run this equals ``schedule.assignment``
+            (minus iterations skipped on resume); faults move exhausted
+            iterations to surviving devices.
         phase_seconds: wall time by phase (``combine``, ``tensor3``,
-            ``tensor4``, ``score``, ``pairwise``, ``encode``).  With
-            ``host_threads > 1`` these are busy seconds summed over
-            workers and may exceed ``wall_seconds``.
+            ``tensor4``, ``score``, ``pairwise``, ``encode``).
         wall_seconds: end-to-end wall time of :meth:`Epi4TensorSearch.run`.
         n_samples: ``N`` used for the scaled-quads metric.
         cache_stats: round-operand cache snapshot (``None`` = cache off).
@@ -387,8 +364,7 @@ class SearchResult:
     @property
     def phase_seconds_by_device(self) -> dict[str, dict[str, float]]:
         """``{phase: {device_label: seconds}}`` from the labeled metrics
-        series — per-device attribution that survives threaded workers
-        finishing out of order (empty when no registry was attached)."""
+        series (empty when no registry was attached)."""
         if self.metrics is None:
             return {}
         out: dict[str, dict[str, float]] = {}
@@ -541,10 +517,7 @@ class Epi4TensorSearch:
         self.autotune_decision: AutotuneDecision | None = None
         #: Canonical phase names reported in ``SearchResult.phase_seconds``.
         #: Per-(phase, device) attribution lives in the metrics registry
-        #: as ``epi4_phase_seconds_total{phase=..., device=...}`` — the
-        #: labeled replacement for the former shared ``Timer`` dict, which
-        #: lost per-device attribution when threaded workers finished out
-        #: of order.
+        #: as ``epi4_phase_seconds_total{phase=..., device=...}``.
         self._phase_names = (
             "encode", "pairwise", "combine", "tensor3", "tensor4", "score",
             "autotune",
@@ -570,7 +543,6 @@ class Epi4TensorSearch:
         self.fault_log = FaultLog.for_devices(self.cluster.n_gpus)
         self._watchdog: LaunchWatchdog | None = None
         self._pressure: PressureGovernor | None = None
-        self._probation: ProbationManager | None = None
         # Cross-shard threshold sharing (see repro.dist.threshold): peer
         # candidates live in a separate reducer consulted only by the
         # prune threshold — they never enter this run's own results.
@@ -588,10 +560,9 @@ class Epi4TensorSearch:
         phase name) and charges the elapsed seconds to the labeled
         ``epi4_phase_seconds_total{phase=..., device=...}`` series.
 
-        Recording at the *call site* under the executing device's label is
-        what makes per-device attribution immune to threaded workers
-        finishing out of order — aggregation over devices happens in the
-        registry, never by summing shared mutable timers.
+        Recording at the *call site* under the executing device's label
+        keeps per-device attribution exact — aggregation over devices
+        happens in the registry, never by summing shared mutable timers.
 
         The device is recorded as the non-identity ``dev`` tag so phase
         spans keep their plain documented labels (``combine``, not
@@ -617,15 +588,6 @@ class Epi4TensorSearch:
         return {name: by_phase.get(name, 0.0) for name in self._phase_names}
 
     # ------------------------------------------------------------------ #
-
-    def host_worker_count(self) -> int:
-        """Resolved host worker threads: ``host_threads`` capped at the
-        device count; ``None`` auto-sizes to ``min(n_gpus, cpu_count)``."""
-        n_gpus = self.cluster.n_gpus
-        requested = self.config.host_threads
-        if requested is None:
-            requested = min(n_gpus, os.cpu_count() or 1)
-        return max(1, min(requested, n_gpus))
 
     def fingerprint(self, outer_iterations: Iterable[int] | None = None) -> str:
         """Identity string guarding journal resume.
@@ -683,10 +645,9 @@ class Epi4TensorSearch:
         Args:
             progress_callback: optional ``fn(completed_rounds, total_rounds,
                 best_so_far)`` invoked after every evaluation round —
-                multi-hour searches can report status or feed a UI.  Under
-                the thread-parallel executor the callback is serialized
-                (called under a lock) and ``best_so_far`` is the global
-                minimum over everything scored so far.
+                multi-hour searches can report status or feed a UI.  The
+                callback is called under a lock and ``best_so_far`` is the
+                global minimum over everything scored so far.
             journal_path: optional path to a crash-safe round journal (see
                 :mod:`repro.core.journal`): every committed outer iteration
                 appends one fsynced CRC frame, so a process killed at any
@@ -736,9 +697,8 @@ class Epi4TensorSearch:
             n_devices=self.cluster.n_gpus,
             partition=self.config.partition,
         )
-        # Kept for explicit cross-thread parenting: the parallel path's
-        # per-worker device spans open on worker threads whose span stacks
-        # are empty, so they name this span as their parent directly.
+        # Kept for explicit parenting: pressure spans name this span as
+        # their parent directly, whatever span is open when they fire.
         self._run_span = run_span
         with self._run_cleanup(journal), total_timer, run_span:
             with self.tracer.span("prepare"):
@@ -775,8 +735,8 @@ class Epi4TensorSearch:
                 self._best_seen = reducer.best
             if domain is not None:
                 # Out-of-domain iterations are another shard's work: mark
-                # them done so every execution path (sequential, parallel,
-                # samples) skips them without further branching.
+                # them done so both execution paths (outer replay and
+                # samples) skip them without further branching.
                 done |= set(range(self.scheme.nb)) - set(domain)
             executed: list[list[int]] = [[] for _ in self.cluster.gpus]
             commit_lock = threading.Lock()
@@ -802,11 +762,7 @@ class Epi4TensorSearch:
             if self.config.partition == "samples" and self.cluster.n_gpus > 1:
                 self._run_samples_partition(done, run_iteration)
             else:
-                n_workers = self.host_worker_count()
-                if n_workers <= 1:
-                    self._run_sequential(schedule, done, run_iteration)
-                else:
-                    self._run_parallel(n_workers, done, run_iteration)
+                self._run_sequential(schedule, done, run_iteration)
             with self.tracer.span("reduce"):
                 top = reducer.result()
             solution = top[0] if top else reduce_solutions([])
@@ -910,13 +866,6 @@ class Epi4TensorSearch:
             if self.config.pressure
             else None
         )
-        self._probation = (
-            ProbationManager(
-                ProbationPolicy(cooldown_rounds=self.config.probation_rounds)
-            )
-            if self.config.probation_rounds is not None
-            else None
-        )
 
     def _wrap_gpu(self, gpu: VirtualGPU):
         """Route a device's launches through the fault injector and hang
@@ -1011,14 +960,16 @@ class Epi4TensorSearch:
     def _run_sequential(
         self, schedule: ScheduleResult, done: set[int], run_iteration
     ) -> None:
-        """Sequential replay of the modelled dynamic schedule (the seed
-        path — also the deterministic per-device accounting baseline).
+        """Sequential replay of the modelled dynamic schedule (§3.6): each
+        device runs exactly the outer iterations the model assigned it, so
+        per-device accounting is deterministic.  The only executor of the
+        ``"outer"`` partition.
 
         Under faults, each iteration is retried on its assigned device;
         exhausted iterations are deferred and re-driven through the
-        surviving devices in a second pass (mirroring the parallel
-        executor's requeue, at the cost of schedule fidelity — which a
-        faulty run has already lost anyway)."""
+        surviving devices in a second pass (at the cost of schedule
+        fidelity — which a faulty run has already lost anyway).
+        Quarantine lasts for the rest of the run."""
         executors = {
             gpu.device_id: _SingleDeviceExecutor(
                 self, self._wrap_gpu(gpu), self._cache
@@ -1089,150 +1040,6 @@ class Epi4TensorSearch:
                         f"'samples' partition ({fault}); every device's sample "
                         "chunk is required per round, so no requeue is possible"
                     )
-
-    def _run_parallel(self, n_workers: int, done: set[int], run_iteration) -> None:
-        """One worker thread per device, pulling outer iterations from a
-        shared fault-tolerant queue — the host-side realization of OpenMP
-        ``schedule(dynamic)`` over the ``Wi`` loop (§3.6).
-
-        A worker that exhausts its retries on an iteration requeues it
-        for the surviving devices (the queue excludes the surrendering
-        device); after ``quarantine_after`` consecutive exhausted
-        iterations the device is quarantined.  Without probation its
-        worker exits for good; with ``probation_rounds`` set the worker
-        parks, waits out the cooldown (in cluster-wide commits), then
-        runs a readmission canary (see :meth:`_probation_cycle`).  The
-        queue raises :class:`SearchAbortedError` if work remains that no
-        surviving device may run."""
-        queue = ResilientWorkQueue(
-            wi for wi in range(self.scheme.nb) if wi not in done
-        )
-
-        def device_worker(gpu: VirtualGPU) -> None:
-            executor = _SingleDeviceExecutor(
-                self, self._wrap_gpu(gpu), self._cache
-            )
-            dev = gpu.device_id
-            queue.register(dev)
-            try:
-                with self.tracer.span(
-                    "device", parent_span=self._run_span, device=dev
-                ):
-                    while True:
-                        wi = queue.get(dev)
-                        if wi is None:
-                            return
-                        fault = self._with_retries(
-                            dev, wi, lambda w=wi: run_iteration(executor, w)
-                        )
-                        if fault is None:
-                            queue.done(wi)
-                            continue
-                        queue.requeue(wi, dev)
-                        if self._note_exhausted(dev, wi, fault):
-                            if self._probation is None:
-                                return  # quarantined for the rest of the run
-                            if not self._probation_cycle(
-                                dev, queue, executor, run_iteration
-                            ):
-                                return  # probation retired the device
-                            # Readmitted: back to normal work.
-            finally:
-                queue.unregister(dev)
-
-        workers = [
-            gpu
-            for gpu in self.cluster.gpus
-            if gpu.device_id not in self.cluster.quarantined
-        ][:n_workers]
-        if not workers:
-            raise SearchAbortedError(
-                "every device was quarantined before the search loop started"
-            )
-        with ThreadPoolExecutor(
-            max_workers=len(workers), thread_name_prefix="epi4-device"
-        ) as pool:
-            futures = [pool.submit(device_worker, gpu) for gpu in workers]
-            for future in futures:
-                future.result()  # re-raise the first worker failure
-        if queue.unfinished:
-            # Every worker retired (probation gave up on the whole fleet)
-            # with work still pending — fail loudly, never silently drop
-            # iterations from the exhaustive search.
-            raise SearchAbortedError(
-                "work remains but every device retired from probation; "
-                "search cannot complete"
-            )
-
-    def _probation_cycle(
-        self, dev: int, queue: ResilientWorkQueue, executor, run_iteration
-    ) -> bool:
-        """Park a freshly quarantined device until its canary is due, then
-        probe for readmission.  Returns ``True`` when the device earned
-        its way back into service, ``False`` when probation retired it
-        (or the search finished without it).
-
-        The parked worker unregisters so the queue's abort/emergency
-        calculus ignores it; an ``"emergency"`` wake (whole fleet parked,
-        work pending) runs the canary immediately, cooldown
-        notwithstanding — the alternative is a search that can never
-        finish."""
-        probation = self._probation
-        probation.on_quarantine(dev, queue.committed)
-        queue.unregister(dev)
-        while True:
-            if not probation.may_probe(dev):
-                return False
-            state = queue.wait_probation(probation.due_at(dev))
-            if state == "drained":
-                return False
-            # "due" or "emergency": run one single-attempt canary.
-            queue.register(dev)
-            wi = queue.get(dev)
-            if wi is None:
-                queue.unregister(dev)
-                return False
-            if self._run_canary(dev, wi, executor, run_iteration):
-                queue.done(wi)
-                self.cluster.unquarantine(dev)
-                self.fault_log.record_readmit(dev)
-                probation.on_canary_success(dev)
-                return True
-            queue.requeue(wi, dev)
-            queue.unregister(dev)
-            if not probation.on_canary_failure(dev, queue.committed):
-                return False
-
-    def _run_canary(
-        self, dev: int, wi: int, executor, run_iteration
-    ) -> bool:
-        """One probation canary: a single attempt, no retries — a device
-        asking back into service must complete an iteration cleanly."""
-        self.fault_log.record_attempt(dev)
-        if self._injector is not None:
-            self._injector.begin_iteration(dev, wi)
-        try:
-            with self.tracer.span(
-                "canary", parent_span=self._run_span, dev=dev, wi=wi
-            ):
-                run_iteration(executor, wi)
-        except DeviceFault as fault:
-            self.fault_log.record_failure(dev, wi, fault.op, fault.kind)
-            self.fault_log.record_canary(dev, wi, False)
-            return False
-        except DeviceMemoryError:
-            # A canary gets no pressure retry: failing it closed is safe
-            # (the iteration requeues; healthy devices carry the ladder).
-            self.fault_log.record_failure(dev, wi, "canary", "oom")
-            self.fault_log.record_canary(dev, wi, False)
-            return False
-        else:
-            self.fault_log.record_success(dev)
-            self.fault_log.record_canary(dev, wi, True)
-            return True
-        finally:
-            if self._injector is not None:
-                self._injector.begin_iteration(dev, None)
 
     def _make_schedule(self) -> ScheduleResult:
         costs = [
@@ -1817,9 +1624,8 @@ class _SingleDeviceExecutor:
         # work must be a function of the *key* alone.  Were it to depend
         # on whether the caller happened to pass ``combined``, the
         # executed combine volume (and the cache hit/miss totals) would
-        # depend on which concurrent request wins the single-flight miss
-        # — breaking the order-invariance the golden metrics comparison
-        # (sequential vs threaded) relies on.
+        # depend on the call site rather than the key — breaking the
+        # order-invariance the cache's single-flight contract promises.
         value, hit, evicted = self._cache.get_or_compute(
             ("sweep", cls, off_a, off_b),
             lambda: self._gemm3(

@@ -48,9 +48,9 @@ class ScheduleResult:
     def from_executed(
         cls, assignment: list[list[int]], costs: list[float]
     ) -> "ScheduleResult":
-        """Score an assignment that actually ran (e.g. the dynamic order a
-        thread-parallel :class:`~repro.core.search.Epi4TensorSearch` pulled
-        from its shared work queue) against per-iteration costs.
+        """Score an assignment that actually ran (e.g. a shard plan, or a
+        faulty run whose exhausted iterations moved to surviving devices)
+        against per-iteration costs.
 
         Lets the realized load balance be compared with the modelled
         :func:`schedule_dynamic` replay on equal terms.
@@ -165,20 +165,12 @@ class VirtualCluster:
         return [g for g in self.gpus if g.device_id not in self.quarantined]
 
     def quarantine(self, device_id: int) -> None:
-        """Remove a device from service (until probation readmits it)."""
+        """Remove a device from service for the rest of the run."""
         if not 0 <= device_id < self.n_gpus:
             raise ValueError(
                 f"device_id {device_id} outside cluster of {self.n_gpus} GPUs"
             )
         self.quarantined.add(device_id)
-
-    def unquarantine(self, device_id: int) -> None:
-        """Return a quarantined device to service (probation passed)."""
-        if not 0 <= device_id < self.n_gpus:
-            raise ValueError(
-                f"device_id {device_id} outside cluster of {self.n_gpus} GPUs"
-            )
-        self.quarantined.discard(device_id)
 
     def reset_quarantine(self) -> None:
         """Return every device to service (start of a fresh run)."""

@@ -327,12 +327,11 @@ class FaultInjector:
     One injector is shared by all of a search's devices; it keeps
     per-rule match counters, the per-device dead set (persistent faults)
     and the seeded PRNG for probabilistic triggers.  All decision state
-    is mutated under one lock, so concurrent device worker threads see a
-    single consistent schedule.
+    is mutated under one lock, so concurrent callers see a single
+    consistent schedule.
 
     The current outer iteration is tracked per device via
-    :meth:`begin_iteration` (one worker thread per device, so a plain
-    dict suffices under the lock).
+    :meth:`begin_iteration` (a plain dict under the lock).
     """
 
     def __init__(self, plan: FaultPlan) -> None:

@@ -5,9 +5,9 @@ search — configuration, dataset digest, seeds, software versions, device
 model — plus a digest of what came out (the ranked top-k quads with
 bit-exact ``float.hex()`` scores).  It deliberately contains **no
 timestamps and no timings**: two runs of the same configuration on the
-same dataset must serialize to byte-identical JSON, whether they executed
-sequentially or across threads, with AND+POPC or XOR+POPC engines, with or
-without the operand cache, and with or without injected faults (the
+same dataset must serialize to byte-identical JSON, on one device or
+several, with AND+POPC or XOR+POPC engines, with or without the operand
+cache, and with or without injected faults (the
 resilience layer only re-executes idempotent work).  Golden tests and the
 CI artifact job rely on exactly this property.
 
@@ -163,7 +163,7 @@ def build_run_manifest(
 
     Returns:
         A :class:`RunManifest` whose JSON is byte-stable across repeated
-        and re-ordered (sequential vs threaded) executions.
+        and re-ordered (one device vs several) executions.
     """
     import numpy as np
 

@@ -6,9 +6,8 @@ source that used to live in its own ad-hoc structure —
 hit/miss/eviction statistics, :class:`~repro.core.resilience.FaultLog`
 incident counts and the per-phase wall times — as **labeled series**
 (``device="0"``, ``phase="combine"``, ...), so per-device attribution
-survives threaded out-of-order completion by construction: a sample is
-recorded under its device label at the recording site, never inferred
-from completion order.
+is exact by construction: a sample is recorded under its device label at
+the recording site, never inferred from completion order.
 
 The catalogue emitted by a search run (all prefixed ``epi4_``):
 
@@ -53,7 +52,7 @@ Export formats: a deterministic snapshot dict and Prometheus text
 exposition (sorted series).  Time-valued series are inherently
 non-deterministic; :func:`normalized_snapshot` zeroes them and sums over
 the ``device`` label so golden tests can compare runs byte-for-byte
-across sequential and threaded execution.
+across device counts.
 """
 
 from __future__ import annotations

@@ -143,9 +143,9 @@ class _ActiveSpan:
         self.tags[key] = value
 
     def _occurrence(self, label: str) -> int:
-        # Under the tracer lock: explicit-parent spans (cross-thread
-        # children, e.g. per-worker device spans under the run span) may
-        # increment a shared parent's child counter concurrently.
+        # Under the tracer lock: explicit-parent spans (e.g. cross-thread
+        # children) may increment a shared parent's child counter
+        # concurrently.
         with self._tracer._lock:
             n = self._child_counts.get(label, 0)
             self._child_counts[label] = n + 1
@@ -243,8 +243,8 @@ class Tracer:
         """Open a span; use as a context manager.
 
         ``parent_span`` explicitly parents the span (needed when a child
-        opens on a different thread than its parent, e.g. per-worker
-        device spans under the run span); by default the innermost open
+        opens on a different thread than its parent, or must attach to
+        the run span whatever is open); by default the innermost open
         span on the current thread is the parent.
         """
         return _ActiveSpan(self, name, tags, parent=parent_span)

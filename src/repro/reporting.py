@@ -166,8 +166,7 @@ def format_search_report(
         add(_rule())
         by_device = result.phase_seconds_by_device
         devices = sorted({d for per in by_device.values() for d in per})
-        add("  phase seconds by device (recorded at the launch site;")
-        add("  immune to threaded out-of-order completion):")
+        add("  phase seconds by device (recorded at the launch site):")
         for phase in sorted(by_device):
             cells = "  ".join(
                 f"dev {d}: {by_device[phase].get(d, 0.0):8.3f}s"
@@ -220,11 +219,6 @@ def format_search_report(
             add(
                 f"  pressure: {fl.total_pressure_degrades} ladder step(s) "
                 f"down, {fl.total_pressure_expands} re-expanded"
-            )
-        if fl.total_canaries:
-            add(
-                f"  probation: {fl.total_canaries} canary iteration(s), "
-                f"{fl.total_readmits} readmission(s)"
             )
         for line in fl.summary_lines():
             add(f"  {line}")

@@ -19,17 +19,14 @@ diff.  To regenerate after an *intentional* change:
 
 and review the diff like any other code change.
 
-The cross-cutting invariants (AND+POPC vs XOR+POPC engines, sequential
-vs threaded execution) are asserted directly: same span-tree shape
-(modulo the racy ``wi -> device`` assignment), same normalized metrics,
-same top-k digest.
+The cross-cutting invariants (AND+POPC vs XOR+POPC engines, ``outer``
+vs ``samples`` partition) are asserted directly: same top-k digest.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 from pathlib import Path
 
 import pytest
@@ -56,7 +53,6 @@ def _search(**overrides):
         block_size=BLOCK,
         engine_kind="and_popc",
         top_k=3,
-        host_threads=1,
         # Golden fixtures pin the unpruned path: prune counts depend on
         # threshold timing, which is schedule-sensitive by design.
         prune=False,
@@ -86,11 +82,6 @@ def _check_golden(name: str, text: str) -> None:
         f"{name} drifted from its golden fixture; if the change is "
         "intentional regenerate with EPI4TENSOR_REGEN_GOLDEN=1"
     )
-
-
-def _strip_device(path: str) -> str:
-    """Remove the racy ``device[d]#k`` component from a span path."""
-    return re.sub(r"device\[\d+\]#\d+", "device[*]", path)
 
 
 class TestGoldenFixtures:
@@ -153,44 +144,7 @@ class TestCrossEngineStability:
 
 
 class TestSequentialThreadedStability:
-    """The thread-parallel executor must be observationally equivalent to
-    the sequential replay (modulo which device ran which iteration)."""
-
-    def test_device_stripped_span_shape_identical(self):
-        # Cache off: every operand request computes, so the span tree is a
-        # pure function of the iteration space.  (With the cache on, the
-        # *spans* move to whichever thread wins the single-flight miss —
-        # only the metric totals are order-invariant, asserted below.)
-        shapes = []
-        for threads in (1, 2):
-            _, _, tracer = _search(n_gpus=2, host_threads=threads)
-            shapes.append(
-                sorted(
-                    _strip_device(p)
-                    for p in span_tree_shape(tracer.records())
-                )
-            )
-        assert shapes[0] == shapes[1]
-
-    def test_normalized_metrics_identical(self):
-        snaps = []
-        for threads in (1, 2):
-            search, _, _ = _search(
-                n_gpus=2, host_threads=threads, cache_mb=2
-            )
-            snaps.append(normalized_snapshot(search.metrics))
-        assert snaps[0] == snaps[1]
-
-    def test_topk_digest_identical(self):
-        digests = set()
-        for threads in (1, 2):
-            search, result, _ = _search(
-                n_gpus=2, host_threads=threads, cache_mb=2
-            )
-            digests.add(
-                build_run_manifest(search, result)["results"]["top_k_sha256"]
-            )
-        assert len(digests) == 1
+    """Both multi-device partitions must reduce to the same top-k."""
 
     def test_samples_partition_same_topk_digest(self):
         digests = set()

@@ -102,23 +102,6 @@ class TestRunManifest:
 
         assert one() == one()
 
-    def test_results_identical_sequential_vs_threaded(self):
-        ds = generate_random_dataset(16, 96, seed=17)
-        sections = []
-        for threads in (1, 2):
-            s = Epi4TensorSearch(
-                ds,
-                SearchConfig(
-                    block_size=8, top_k=2, host_threads=threads, cache_mb=2
-                ),
-                n_gpus=2,
-            )
-            m = build_run_manifest(s, s.run(), dataset=ds)
-            sections.append(
-                (m["results"], m["dataset"], m["execution"], m["seeds"])
-            )
-        assert sections[0] == sections[1]
-
     def test_topk_digest_identical_across_engines(self):
         ds = generate_random_dataset(16, 96, seed=19)
         digests = set()

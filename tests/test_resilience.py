@@ -1,16 +1,10 @@
-"""Unit tests for retry/backoff policy, fault log, and the resilient queue."""
+"""Unit tests for the retry/backoff policy and the fault log."""
 
 import random
-import threading
 
 import pytest
 
-from repro.core.resilience import (
-    FaultLog,
-    ResilientWorkQueue,
-    RetryPolicy,
-    SearchAbortedError,
-)
+from repro.core.resilience import FaultLog, RetryPolicy
 
 
 class TestRetryPolicy:
@@ -115,115 +109,3 @@ class TestFaultLog:
         actions = [i.action for i in log.incidents]
         assert actions == ["retry", "requeue", "quarantine"]
         assert all(i.device_id == 0 for i in log.incidents)
-
-
-class TestResilientWorkQueue:
-    def test_single_worker_drains_in_order(self):
-        q = ResilientWorkQueue([3, 1, 2])
-        q.register(0)
-        seen = []
-        while (wi := q.get(0)) is not None:
-            seen.append(wi)
-            q.done(wi)
-        assert seen == [3, 1, 2]
-
-    def test_requeue_excludes_surrendering_device(self):
-        q = ResilientWorkQueue([7])
-        q.register(0)
-        q.register(1)
-        wi = q.get(0)
-        assert wi == 7
-        q.requeue(7, exclude_device=0)
-        assert q.excluded_devices(7) == {0}
-        # Device 1 picks it up; device 0 never gets it back.
-        assert q.get(1) == 7
-        q.done(7)
-        assert q.get(0) is None
-        assert q.get(1) is None
-
-    def test_aborts_when_no_device_is_eligible(self):
-        q = ResilientWorkQueue([0])
-        q.register(0)
-        q.register(1)
-        q.requeue(0, exclude_device=0)  # no get() needed for the check
-        q.unregister(1)
-        with pytest.raises(SearchAbortedError, match="cannot complete"):
-            q.get(0)
-
-    def test_excluded_worker_waits_for_in_flight_work(self):
-        # Device 0 is excluded from the only pending iteration, but
-        # device 1 has work in flight that might be requeued — get(0)
-        # must block until that resolves, then return None.
-        q = ResilientWorkQueue([0, 1])
-        q.register(0)
-        q.register(1)
-        assert q.get(1) == 0
-        assert q.get(0) == 1
-        q.requeue(1, exclude_device=0)
-
-        result = {}
-
-        def waiter():
-            result["wi"] = q.get(0)
-
-        t = threading.Thread(target=waiter)
-        t.start()
-        t.join(timeout=0.2)
-        assert t.is_alive()  # still blocked on device 1's in-flight work
-        assert q.get(1) == 1  # device 1 takes the requeued iteration
-        q.done(1)
-        q.done(0)
-        t.join(timeout=2.0)
-        assert not t.is_alive()
-        assert result["wi"] is None
-
-    def test_concurrent_workers_process_everything_once(self):
-        n = 200
-        q = ResilientWorkQueue(range(n))
-        done: list[int] = []
-        lock = threading.Lock()
-
-        def worker(device_id):
-            q.register(device_id)
-            while (wi := q.get(device_id)) is not None:
-                with lock:
-                    done.append(wi)
-                q.done(wi)
-            q.unregister(device_id)
-
-        threads = [
-            threading.Thread(target=worker, args=(d,)) for d in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10.0)
-        assert sorted(done) == list(range(n))
-
-    def test_requeue_survives_worker_attrition(self):
-        # Worker 0 fails every iteration; worker 1 picks up the pieces.
-        n = 10
-        q = ResilientWorkQueue(range(n))
-        q.register(0)
-        q.register(1)
-        done: list[int] = []
-
-        def flaky():
-            while (wi := q.get(0)) is not None:
-                q.requeue(wi, exclude_device=0)
-            q.unregister(0)
-
-        def steady():
-            while (wi := q.get(1)) is not None:
-                done.append(wi)
-                q.done(wi)
-            q.unregister(1)
-
-        t0 = threading.Thread(target=flaky)
-        t1 = threading.Thread(target=steady)
-        t0.start()
-        t1.start()
-        t0.join(timeout=10.0)
-        t1.join(timeout=10.0)
-        assert not t0.is_alive() and not t1.is_alive()
-        assert sorted(done) == list(range(n))

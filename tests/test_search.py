@@ -249,6 +249,15 @@ class TestValidationErrors:
         res = Epi4TensorSearch(enc, SearchConfig(block_size=4)).run()
         assert res.best_quad == _oracle(ds)[0]
 
+    @pytest.mark.parametrize("bad", [0, -5, 80])
+    def test_rejects_max_chunk_cells_below_one_table(self, bad):
+        # Below 81 cells the memory estimate undercounts (negative values
+        # even make it negative), since applyScore floors each chunk at
+        # one full 81-cell table.
+        with pytest.raises(ValueError, match="max_chunk_cells"):
+            SearchConfig(max_chunk_cells=bad)
+        assert SearchConfig(max_chunk_cells=81).max_chunk_cells == 81
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="block_size"):
             SearchConfig(block_size=1)

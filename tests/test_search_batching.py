@@ -142,7 +142,6 @@ class TestPipelineBitIdentity:
             block_size=4,
             top_k=3,
             batch_rounds=8,
-            host_threads=2,
         )
         assert _solutions(got) == _solutions(ref)
 

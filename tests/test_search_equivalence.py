@@ -1,9 +1,9 @@
-"""Equivalence suite: the cached + thread-parallel hot path must be
-bit-identical to the cold sequential seed path.
+"""Equivalence suite: the cached multi-device hot path must be
+bit-identical to the cold single-device seed path.
 
-The operand cache only changes *which launches execute*; the thread-parallel
-executor only changes *which host thread drives which outer iteration*.
-Neither may perturb a single result bit: ``SearchResult.solution`` and
+The operand cache only changes *which launches execute*; the multi-device
+schedule only changes *which device runs which outer iteration*.  Neither
+may perturb a single result bit: ``SearchResult.solution`` and
 ``top_solutions`` are compared exactly (packed indices and float scores),
 across engines, modes, partitions and journal resume.
 """
@@ -83,15 +83,15 @@ class TestThreadedEquivalence:
     def test_threaded_matches_sequential(self):
         ds = generate_random_dataset(16, 140, seed=5)
         base = dict(block_size=4, top_k=5)
-        seq = _run(ds, n_gpus=4, host_threads=1, **base)
-        par = _run(ds, n_gpus=4, host_threads=4, **base)
+        seq = _run(ds, n_gpus=1, **base)
+        par = _run(ds, n_gpus=4, **base)
         _assert_identical(seq, par)
 
     def test_threaded_cached_matches_cold_sequential(self):
         ds = generate_random_dataset(20, 150, seed=6)
         cold = _run(ds, block_size=4, top_k=3)
         hot = _run(
-            ds, n_gpus=4, host_threads=4, cache_mb=float("inf"),
+            ds, n_gpus=4, cache_mb=float("inf"),
             block_size=4, top_k=3,
         )
         _assert_identical(cold, hot)
@@ -107,20 +107,17 @@ class TestThreadedEquivalence:
         assert sam.cache_stats.hits > 0
 
     def test_concurrency_stress_repeated_runs(self):
-        # Tiny blocks + 4 devices + small budget: maximum scheduling and
-        # eviction nondeterminism.  Results must never vary.
+        # Tiny blocks + 4 devices + small budget: maximum eviction churn.
+        # Results must never vary.
         ds = generate_random_dataset(12, 120, seed=9)
         reference = _run(ds, block_size=2, top_k=6)
         for trial in range(5):
-            res = _run(
-                ds, n_gpus=4, host_threads=4, cache_mb=0.01,
-                block_size=2, top_k=6,
-            )
+            res = _run(ds, n_gpus=4, cache_mb=0.01, block_size=2, top_k=6)
             _assert_identical(reference, res)
 
     def test_executed_assignment_covers_all_iterations(self):
         ds = generate_random_dataset(16, 120, seed=0)
-        res = _run(ds, n_gpus=4, host_threads=4, block_size=4)
+        res = _run(ds, n_gpus=4, block_size=4)
         nb = res.block_scheme.n_snps // 4
         flat = sorted(i for worker in res.executed_assignment for i in worker)
         assert flat == list(range(nb))
@@ -129,6 +126,16 @@ class TestThreadedEquivalence:
             res.executed_assignment, [1.0] * nb
         )
         assert sched.total_cost == nb
+
+    def test_fault_free_run_executes_modelled_schedule(self):
+        # The host replays the modelled §3.6 schedule device for device:
+        # every device the model gives work actually runs it.
+        ds = generate_random_dataset(32, 256, seed=3)
+        res = _run(ds, n_gpus=4, block_size=4)
+        assert res.executed_assignment == res.schedule.assignment
+        for dev, assigned in enumerate(res.schedule.assignment):
+            if assigned:
+                assert res.per_device_counters[dev].tensor_ops_raw["tensor4"] > 0
 
     def test_counters_merge_consistent_under_threads(self):
         # Executed work is schedule-independent: misses compute exactly once
@@ -141,7 +148,6 @@ class TestThreadedEquivalence:
         par = _run(
             ds,
             n_gpus=4,
-            host_threads=4,
             cache_mb=float("inf"),
             block_size=4,
             prune=False,
@@ -163,19 +169,19 @@ class TestCheckpointResume:
         # Run the full search once for the reference.
         reference = _run(ds, **base)
 
-        # First attempt: sequential run under the same fingerprint (the
+        # First attempt: 4-device run under the same fingerprint (the
         # fingerprint pins n_gpus — resuming under a different device count
         # is refused by design), then simulate pre-emption by rewinding
         # the journal to its first two commits.
         search = Epi4TensorSearch(
-            ds, SearchConfig(host_threads=1, **base), n_gpus=4
+            ds, SearchConfig(**base), n_gpus=4
         )
         full = search.run(journal_path=str(path))
         kept = rewind_journal(path, 2)
 
-        # Resume (threaded + cached) from the rewound journal.
+        # Resume (cached) from the rewound journal.
         resumed = Epi4TensorSearch(
-            ds, SearchConfig(host_threads=4, **base), n_gpus=4
+            ds, SearchConfig(**base), n_gpus=4
         ).run(journal_path=str(path))
         _assert_identical(reference, resumed)
         _assert_identical(full, resumed)
@@ -193,7 +199,7 @@ class TestCheckpointResume:
 
         res = Epi4TensorSearch(
             ds,
-            SearchConfig(block_size=4, cache_mb=float("inf"), host_threads=4),
+            SearchConfig(block_size=4, cache_mb=float("inf")),
             n_gpus=4,
         ).run(progress_callback=cb)
         counts = [d for d, _ in seen]
@@ -378,9 +384,9 @@ class TestPruneEquivalence:
     def test_threaded_pruned_matches_sequential_unpruned(self):
         ds = generate_random_dataset(16, 140, seed=5)
         base = dict(block_size=4, top_k=5)
-        off = _run(ds, n_gpus=1, host_threads=1, prune=False, **base)
+        off = _run(ds, n_gpus=1, prune=False, **base)
         for trial in range(3):
-            on = _run(ds, n_gpus=4, host_threads=4, prune=True, **base)
+            on = _run(ds, n_gpus=4, prune=True, **base)
             _assert_identical(off, on)
 
     def test_resume_with_pruning(self, tmp_path, rewind_journal):

@@ -73,12 +73,11 @@ class TestBitIdenticalUnderFaults:
 
     def test_persistent_device_failure_quarantines_and_matches(self):
         ds = _dataset(12, 96)
-        _, baseline = _run(ds, n_gpus=2, host_threads=2)
+        _, baseline = _run(ds, n_gpus=2)
         spec = f"persistent:device=1,at=3;seed={FAULT_SEED}"
         search, faulty = _run(
             ds,
             n_gpus=2,
-            host_threads=2,
             inject_faults=spec,
             max_retries=1,
             quarantine_after=1,
@@ -103,12 +102,11 @@ class TestBitIdenticalUnderFaults:
 
     def test_probabilistic_faults_seeded_from_environment(self):
         ds = _dataset()
-        _, baseline = _run(ds, n_gpus=2, host_threads=2)
+        _, baseline = _run(ds, n_gpus=2)
         spec = f"transient:op=tensor4,p=0.05;seed={FAULT_SEED}"
         search, faulty = _run(
             ds,
             n_gpus=2,
-            host_threads=2,
             inject_faults=spec,
             max_retries=6,
             quarantine_after=50,
@@ -118,7 +116,6 @@ class TestBitIdenticalUnderFaults:
         search2, faulty2 = _run(
             ds,
             n_gpus=2,
-            host_threads=2,
             inject_faults=spec,
             max_retries=6,
             quarantine_after=50,
@@ -138,7 +135,6 @@ class TestFaultAccounting:
         search, result = _run(
             ds,
             n_gpus=2,
-            host_threads=2,
             inject_faults=spec,
             max_retries=2,
             quarantine_after=1,
@@ -165,7 +161,7 @@ class TestFaultAccounting:
 class TestDegradedFleet:
     def test_all_but_one_device_quarantined_still_completes(self):
         ds = _dataset(12, 96)
-        _, baseline = _run(ds, n_gpus=3, host_threads=3)
+        _, baseline = _run(ds, n_gpus=3)
         spec = (
             "persistent:device=1,at=1;persistent:device=2,at=1;"
             f"seed={FAULT_SEED}"
@@ -173,7 +169,6 @@ class TestDegradedFleet:
         search, faulty = _run(
             ds,
             n_gpus=3,
-            host_threads=3,
             inject_faults=spec,
             max_retries=0,
             quarantine_after=1,
@@ -359,44 +354,6 @@ class TestMemoryPressure:
         assert search.metrics.value("epi4_pressure_level") == 0.0
 
 
-class TestQuarantineProbation:
-    """Acceptance: a quarantined device serves probation and is either
-    readmitted after a clean canary or retired for good."""
-
-    def _probation_run(self, spec, **kwargs):
-        ds = generate_random_dataset(32, 160, seed=11)
-        kwargs.setdefault("max_retries", 0)
-        kwargs.setdefault("quarantine_after", 1)
-        kwargs.setdefault("probation_rounds", 1)
-        kwargs.setdefault("host_threads", 2)
-        return ds, *_run(ds, n_gpus=2, inject_faults=spec, **kwargs)
-
-    def test_transient_offender_is_readmitted_after_canary(self):
-        spec = f"transient:device=0,op=tensor4,count=2;seed={FAULT_SEED}"
-        ds, search, result = self._probation_run(spec)
-        _, baseline = _run(generate_random_dataset(32, 160, seed=11))
-        assert _solutions(result) == _solutions(baseline)
-        fl = search.fault_log
-        assert fl.total_canaries >= 1
-        assert fl.total_readmits == 1
-        # The readmitted device went back to useful work.
-        executed_by_dev0 = result.executed_assignment[0]
-        assert executed_by_dev0, "device 0 never executed after readmission"
-
-    def test_persistent_offender_retires_and_fleet_completes(self):
-        spec = f"persistent:device=0,op=tensor4;seed={FAULT_SEED}"
-        ds, search, result = self._probation_run(spec)
-        _, baseline = _run(generate_random_dataset(32, 160, seed=11))
-        assert _solutions(result) == _solutions(baseline)
-        fl = search.fault_log
-        # Every canary failed; the healthy device finished the queue.
-        assert fl.total_readmits == 0
-        assert 0 in fl.quarantined_devices
-        assert sorted(
-            wi for dev in result.executed_assignment for wi in dev
-        ) == sorted(set(range(result.block_scheme.nb)))
-
-
 class TestElasticConfigValidation:
     @pytest.mark.parametrize("bad", [0.0, -5.0])
     def test_bad_deadline_rejected(self, bad):
@@ -407,8 +364,3 @@ class TestElasticConfigValidation:
     def test_bad_pressure_relax_rejected(self, bad):
         with pytest.raises(ValueError, match="pressure_relax_rounds"):
             SearchConfig(pressure_relax_rounds=bad)
-
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_bad_probation_rounds_rejected(self, bad):
-        with pytest.raises(ValueError, match="probation_rounds"):
-            SearchConfig(probation_rounds=bad)
