@@ -32,7 +32,6 @@ DETERMINISTIC_MODULES: tuple[str, ...] = (
     "repro.core.checkpoint",
     "repro.dist.merge",
     "repro.dist.plan",
-    "repro.dist.threshold",
     "repro.scoring.bounds",
     "repro.obs.manifest",
 )
@@ -216,7 +215,6 @@ DURABILITY_MODULES: tuple[str, ...] = (
     "repro.core.checkpoint",
     "repro.dist.worker",
     "repro.dist.coordinator",
-    "repro.dist.threshold",
     "repro.obs.exporters",
 )
 

@@ -79,15 +79,9 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
         "unbounded; charged against device memory before the search runs)",
     )
     p.add_argument(
-        "--score-path", default="fused", choices=("fused", "dense"),
-        help="applyScore strategy: 'fused' (mask-first compaction + staged "
-        "lgamma scorer, the default) or 'dense' (legacy full-grid reference "
-        "path); results are bit-identical",
-    )
-    p.add_argument(
         "--no-cache-triplets", action="store_true",
         help="disable cross-round reuse of completed third-order tables "
-        "(fused path only; tables are then recompleted per round)",
+        "(tables are then recompleted per round)",
     )
     p.add_argument(
         "--autotune", action="store_true",
@@ -142,17 +136,9 @@ def _add_search(sub: argparse._SubParsersAction) -> None:
     p.add_argument(
         "--prune", default="on", choices=("on", "off"),
         help="admissible K2 branch-and-bound gate: skip completing and "
-        "scoring quads (and whole rounds) whose corner-count lower bound "
-        "provably cannot beat the current top-k threshold — results are "
-        "bit-identical, only the executed score cells shrink "
-        "(default: on; K2 fused path only)",
-    )
-    p.add_argument(
-        "--prune-sync-rounds", type=int, default=None, metavar="R",
-        help="with --shards: exchange prune thresholds across shards "
-        "through atomic files in the shared directory every R completed "
-        "rounds, so late shards inherit tight bounds (default: off; "
-        "result-neutral either way)",
+        "scoring quads whose corner-count lower bound provably cannot "
+        "beat the current top-k threshold — results are bit-identical, "
+        "only the executed score cells shrink (default: on; K2 score only)",
     )
     p.add_argument(
         "--journal", default=None, metavar="PATH",
@@ -299,7 +285,6 @@ def _search_config_from_args(args: argparse.Namespace):
         partition=args.partition,
         top_k=args.top_k,
         selfcheck=args.selfcheck,
-        score_path=args.score_path,
         cache_triplets=not args.no_cache_triplets,
         autotune=args.autotune,
         cache_mb=args.cache_mb,
@@ -312,7 +297,6 @@ def _search_config_from_args(args: argparse.Namespace):
         pressure=args.pressure == "on",
         pressure_relax_rounds=args.pressure_relax_rounds,
         prune=args.prune == "on",
-        prune_sync_rounds=args.prune_sync_rounds,
         **config_kwargs,
     )
 
@@ -521,10 +505,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             frac = pruned / max(1.0, pruned + survivors)
             print(f"pruning   : {pruned:.0f} quads ({100 * frac:.1f}% of "
                   f"mask-valid) bound-pruned before completion")
-            synced = result.metrics.total("epi4_prune_sync_total")
-            if synced:
-                print(f"prunesync : {synced:.0f} cross-shard threshold "
-                      f"exchange(s) every {config.prune_sync_rounds} rounds")
         if config.batch_rounds > 1:
             launches = result.counters.launches
             problems = result.counters.gemm_problems

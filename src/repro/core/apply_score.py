@@ -6,9 +6,8 @@ completes everything to full 81-cell tables per class (§3.3), scores every
 *useful* quad, and marks non-useful positions (repeated/unsorted quads and
 padding) with ``+inf``.
 
-Two implementations are provided:
+:func:`score_round` is the one completion-and-scoring path:
 
-:func:`score_round` (the default, *fused* path)
     **Mask-first compaction**: the validity mask is computed *before* any
     completion, the valid positions are gathered into a flat compacted
     batch, and only those are completed and scored.  Diagonal rounds —
@@ -46,14 +45,9 @@ Two implementations are provided:
     elementwise ``a - b - c``, same trailing-axis sum), without the
     integer ``n + k`` index temporaries.
 
-:func:`apply_score_dense` (the legacy reference)
-    Completes and scores the full ``B^4 x 81`` grid, then masks.  Kept
-    bit-identical to the pre-fusion implementation as the ablation
-    baseline (``score_path="dense"``) and as the property-test oracle.
-
-Memory stays bounded in both paths by chunking — along ``w`` in the dense
-path, along the compacted position axis in the fused path — mirroring how
-the CUDA kernel never materializes all 81 counts for a whole round at once.
+Memory stays bounded by chunking along the compacted position axis,
+mirroring how the CUDA kernel never materializes all 81 counts for a whole
+round at once.
 """
 
 from __future__ import annotations
@@ -368,83 +362,3 @@ def score_round(
         full3_cache_hits=hits,
         pruned=n_pruned,
     )
-
-
-def apply_score(
-    operands: RoundOperands,
-    pairs: np.ndarray,
-    score_min_fn: ScoreMinFn,
-    n_real_snps: int,
-    *,
-    max_chunk_cells: int = DEFAULT_MAX_CHUNK_CELLS,
-) -> np.ndarray:
-    """Score every quad of a round; non-useful positions become ``+inf``.
-
-    Thin compatibility wrapper over :func:`score_round` (the fused path,
-    bit-identical to :func:`apply_score_dense`); returns only the grid.
-    """
-    scores, _ = score_round(
-        operands, pairs, score_min_fn, n_real_snps,
-        max_chunk_cells=max_chunk_cells,
-    )
-    return scores
-
-
-def apply_score_dense(
-    operands: RoundOperands,
-    pairs: np.ndarray,
-    score_min_fn: ScoreMinFn,
-    n_real_snps: int,
-    *,
-    max_chunk_cells: int = DEFAULT_MAX_CHUNK_CELLS,
-) -> np.ndarray:
-    """Legacy dense reference: complete + score the full grid, then mask.
-
-    Kept bit-identical to the pre-fusion implementation; serves as the
-    ``score_path="dense"`` ablation baseline and the property-test oracle
-    for the compacted path.
-    """
-    b = operands.block_size
-    wo, xo, yo, zo = operands.offsets
-    w_idx = np.arange(wo, wo + b)
-    x_idx = np.arange(xo, xo + b)
-    y_idx = np.arange(yo, yo + b)
-    z_idx = np.arange(zo, zo + b)
-
-    # Triplets without a w axis are shared across w chunks: complete once.
-    full3_xyz = [
-        complete_threeway(operands.corner3_xyz[cls], pairs[cls], x_idx, y_idx, z_idx)
-        for cls in (0, 1)
-    ]
-
-    cells_per_w = b * b * b * 81
-    chunk_w = max(1, min(b, max_chunk_cells // max(cells_per_w, 1)))
-
-    scores = np.empty((b, b, b, b), dtype=np.float64)
-    for w0 in range(0, b, chunk_w):
-        w1 = min(w0 + chunk_w, b)
-        tables = []
-        for cls in (0, 1):
-            full3_wxy = complete_threeway(
-                operands.corner3_wxy[cls][w0:w1], pairs[cls], w_idx[w0:w1], x_idx, y_idx
-            )
-            full3_wxz = complete_threeway(
-                operands.corner3_wxz[cls][w0:w1], pairs[cls], w_idx[w0:w1], x_idx, z_idx
-            )
-            full3_wyz = complete_threeway(
-                operands.corner3_wyz[cls][w0:w1], pairs[cls], w_idx[w0:w1], y_idx, z_idx
-            )
-            tables.append(
-                complete_quad(
-                    operands.corner4[cls][w0:w1],
-                    full3_wxy[:, :, :, None],   # (Wc, B, B, 1, 3, 3, 3)
-                    full3_wxz[:, :, None, :],   # (Wc, B, 1, B, 3, 3, 3)
-                    full3_wyz[:, None, :, :],   # (Wc, 1, B, B, 3, 3, 3)
-                    full3_xyz[cls][None],       # (1, B, B, B, 3, 3, 3)
-                )
-            )
-        scores[w0:w1] = score_min_fn(tables[0], tables[1], order=4)
-
-    mask = round_validity_mask(operands.offsets, b, n_real_snps)
-    scores[~mask] = np.inf
-    return scores

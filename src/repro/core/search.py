@@ -45,10 +45,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dist.threshold import ThresholdExchange
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -56,7 +53,6 @@ from repro.bitops.bitmatrix import BitMatrix
 from repro.core.apply_score import (
     DEFAULT_MAX_CHUNK_CELLS,
     RoundOperands,
-    apply_score_dense,
     score_round,
 )
 from repro.core.autotune import AutotuneDecision, autotune_applyscore
@@ -149,10 +145,6 @@ class SearchConfig:
             :func:`repro.device.faults.parse_fault_spec`); ``None`` runs
             fault-free.  Results are bit-identical either way — the
             resilience layer only re-executes idempotent work.
-        score_path: ``"fused"`` (mask-first compacted completion + staged
-            scorer, the default) or ``"dense"`` (the legacy full-grid
-            reference, kept for ablation).  Bit-identical scores either
-            way; only executed score-cell accounting differs.
         cache_triplets: store fully-completed third-order tables in the
             round-operand cache under ``("full3", cls, a, b, c)`` keys so
             each block triple is completed once per sweep instead of once
@@ -194,17 +186,9 @@ class SearchConfig:
             completion and scoring.
             The bound never overestimates and ties are never pruned, so
             results stay **bit-identical** to the exhaustive run; only
-            the executed score-cell accounting shrinks.  Effective only
-            on the fused K2 scoring path (other score functions have no
-            admissible corner bound and run exhaustively regardless).
-        prune_sync_rounds: with an attached
-            :class:`~repro.dist.threshold.ThresholdExchange`, publish
-            this shard's top-k and refresh the peer-shard threshold
-            every this many completed rounds, so late shards inherit
-            tight bounds.  ``None`` (the default) disables the exchange;
-            peer candidates only tighten pruning decisions and never
-            enter this shard's own results, so shard artifacts are
-            unchanged either way.
+            the executed score-cell accounting shrinks.  K2 score only
+            (other score functions have no admissible corner bound and
+            run exhaustively regardless).
     """
 
     block_size: int = 16
@@ -221,7 +205,6 @@ class SearchConfig:
     backoff_base_ms: float = 10.0
     quarantine_after: int = 2
     inject_faults: str | None = None
-    score_path: str = "fused"
     cache_triplets: bool = True
     autotune: bool = False
     batch_rounds: int = 1
@@ -229,13 +212,8 @@ class SearchConfig:
     pressure: bool = True
     pressure_relax_rounds: int = 64
     prune: bool = True
-    prune_sync_rounds: int | None = None
 
     def __post_init__(self) -> None:
-        if self.score_path not in ("fused", "dense"):
-            raise ValueError(
-                f"score_path must be 'fused' or 'dense', got {self.score_path!r}"
-            )
         if self.block_size < 2:
             raise ValueError(f"block_size must be >= 2, got {self.block_size}")
         if self.batch_rounds < 1:
@@ -266,18 +244,16 @@ class SearchConfig:
             raise ValueError(
                 f"cache_mb must be >= 0 (or inf/None), got {self.cache_mb}"
             )
-        if self.deadline_ms is not None and not self.deadline_ms > 0:
+        if self.deadline_ms is not None and not (
+            0 < self.deadline_ms < math.inf
+        ):
             raise ValueError(
-                f"deadline_ms must be > 0, got {self.deadline_ms}"
+                f"deadline_ms must be finite and > 0, got {self.deadline_ms}"
             )
         if self.pressure_relax_rounds < 1:
             raise ValueError(
                 "pressure_relax_rounds must be >= 1, "
                 f"got {self.pressure_relax_rounds}"
-            )
-        if self.prune_sync_rounds is not None and self.prune_sync_rounds < 1:
-            raise ValueError(
-                f"prune_sync_rounds must be >= 1, got {self.prune_sync_rounds}"
             )
         # Delegate retry-knob validation to RetryPolicy (and fail fast on a
         # malformed fault spec rather than mid-search).
@@ -472,9 +448,7 @@ class Epi4TensorSearch:
             self.config.block_size,
             max_chunk_cells=self.config.max_chunk_cells,
             cache_budget_bytes=self.config.cache_budget_bytes,
-            cache_triplets=(
-                self.config.cache_triplets and self.config.score_path == "fused"
-            ),
+            cache_triplets=self.config.cache_triplets,
             batch_rounds=self.config.batch_rounds,
         )
         check_fits(spec, self.memory_estimate)
@@ -543,13 +517,6 @@ class Epi4TensorSearch:
         self.fault_log = FaultLog.for_devices(self.cluster.n_gpus)
         self._watchdog: LaunchWatchdog | None = None
         self._pressure: PressureGovernor | None = None
-        # Cross-shard threshold sharing (see repro.dist.threshold): peer
-        # candidates live in a separate reducer consulted only by the
-        # prune threshold — they never enter this run's own results.
-        self._threshold_exchange = None
-        self._sync_reducer: TopKReducer | None = None
-        self._sync_lock = threading.Lock()
-        self._sync_counter = 0
 
     # ------------------------------------------------------------------ #
     # Observability plumbing
@@ -686,10 +653,9 @@ class Epi4TensorSearch:
             device="host",
         )
         # Pruning series exist (zero-valued) even when nothing prunes —
-        # prune-off runs, non-K2 scores, dense path — so dashboards,
-        # golden fixtures and shard merges see a stable metric schema.
+        # prune-off runs, non-K2 scores — so dashboards, golden fixtures
+        # and shard merges see a stable metric schema.
         self.metrics.inc("epi4_prune_quads_total", 0, device="0")
-        self.metrics.inc("epi4_prune_sync_total", 0)
         total_timer = Timer()
         run_span = self.tracer.span(
             "run",
@@ -725,8 +691,6 @@ class Epi4TensorSearch:
                     gpu.engine.memoize_dense = dense_memo
             reducer = TopKReducer(self.config.top_k)
             self._global_reducer = reducer
-            self._sync_reducer = None
-            self._sync_counter = 0
             done: set[int] = set()
             if journal is not None:
                 journal.seed_reducer(reducer)
@@ -755,10 +719,6 @@ class Epi4TensorSearch:
                         # crash after this line re-runs nothing.
                         journal.commit(wi, reducer.result())
 
-            if self._sync_enabled():
-                # Warm start: inherit whatever thresholds peer shards have
-                # already published (a late shard starts tight).
-                self._sync_thresholds()
             if self.config.partition == "samples" and self.cluster.n_gpus > 1:
                 self._run_samples_partition(done, run_iteration)
             else:
@@ -766,10 +726,6 @@ class Epi4TensorSearch:
             with self.tracer.span("reduce"):
                 top = reducer.result()
             solution = top[0] if top else reduce_solutions([])
-            if self._sync_enabled():
-                # Final beat: still-running peers inherit this shard's
-                # finished top-k immediately.
-                self._sync_thresholds()
 
         merged = KernelCounters()
         for gpu in self.cluster.gpus:
@@ -1235,8 +1191,8 @@ class Epi4TensorSearch:
         reducer: TopKReducer,
         round_t0: float,
     ) -> None:
-        """Per-round bookkeeping: metrics, pressure relax, threshold sync
-        and the progress callback."""
+        """Per-round bookkeeping: metrics, pressure relax and the progress
+        callback."""
         dev = str(executor.device_id)
         self.metrics.inc("epi4_rounds_total", device=dev)
         self.metrics.observe(
@@ -1252,14 +1208,6 @@ class Epi4TensorSearch:
                     step,
                     "expand",
                 )
-        if self._sync_enabled():
-            due = False
-            with self._sync_lock:
-                self._sync_counter += 1
-                if self._sync_counter % self.config.prune_sync_rounds == 0:
-                    due = True
-            if due:
-                self._sync_thresholds()
         if self._progress_callback is not None:
             with self._progress_lock:
                 self._rounds_done += 1
@@ -1280,71 +1228,27 @@ class Epi4TensorSearch:
     # ------------------------------------------------------------------ #
     # Branch-and-bound pruning (see repro.scoring.bounds)
 
-    def attach_threshold_exchange(self, exchange: "ThresholdExchange") -> None:
-        """Attach a :class:`~repro.dist.threshold.ThresholdExchange`.
-
-        Every ``config.prune_sync_rounds`` completed rounds (plus once at
-        run start and once at the end) this search publishes its global
-        top-k and refreshes the peer-shard threshold reducer.  Peer
-        candidates feed *only* the prune threshold — they never enter
-        this run's own reduction, so shard artifacts are byte-identical
-        with or without an exchange."""
-        self._threshold_exchange = exchange
-
     def _prune_active(self) -> bool:
-        """Whether the bound-first gate runs: configured on, fused path,
-        and a K2 bound kernel available (other score functions have no
+        """Whether the bound-first gate runs: configured on and a K2 bound
+        kernel available (K2 score only: other score functions have no
         admissible corner bound)."""
-        return (
-            self.config.prune
-            and self.config.score_path == "fused"
-            and self._bound_kernel is not None
-        )
+        return self.config.prune and self._bound_kernel is not None
 
     def _prune_threshold(self, reducer: TopKReducer) -> float:
         """Tightest currently-safe prune threshold.
 
-        The minimum over the per-iteration reducer, the run-global
-        reducer and — when a threshold exchange is attached — the
-        peer-shard reducer.  Each contributor's ``kth_score`` is the
-        k-th best of a *subset* of the final candidate set, hence
-        ``>=`` the final k-th best; pruning strictly above the minimum
-        can therefore never drop a final top-k member.  ``+inf`` (all
-        contributors under-filled) disables pruning."""
-        threshold = min(
-            reducer.kth_score(), self._global_reducer.kth_score()
-        )
-        sync = self._sync_reducer
-        if sync is not None:
-            threshold = min(threshold, sync.kth_score())
-        return threshold
-
-    def _sync_enabled(self) -> bool:
-        return (
-            self._threshold_exchange is not None
-            and self.config.prune_sync_rounds is not None
-        )
-
-    def _sync_thresholds(self) -> None:
-        """One threshold-exchange beat: publish this run's global top-k,
-        then rebuild the peer-shard reducer from every peer's latest
-        published candidates."""
-        exchange = self._threshold_exchange
-        if exchange is None:
-            return
-        with self.tracer.span("prune_sync", dev="host"):
-            exchange.publish(self._global_reducer.result())
-            peers = exchange.peer_solutions()
-            if peers:
-                self._sync_reducer = TopKReducer.from_solutions(
-                    self.config.top_k, peers
-                )
-        self.metrics.inc("epi4_prune_sync_total")
+        The minimum over the per-iteration reducer and the run-global
+        reducer.  Each contributor's ``kth_score`` is the k-th best of a
+        *subset* of the final candidate set, hence ``>=`` the final k-th
+        best; pruning strictly above the minimum can therefore never drop
+        a final top-k member.  ``+inf`` (both contributors under-filled)
+        disables pruning."""
+        return min(reducer.kth_score(), self._global_reducer.kth_score())
 
     # ------------------------------------------------------------------ #
     # Scoring with graceful degradation
 
-    def _apply_score_path(
+    def _complete_and_score(
         self,
         executor: "_KernelExecutor",
         operands: RoundOperands,
@@ -1352,28 +1256,18 @@ class Epi4TensorSearch:
         triplet_cache: bool = True,
         reducer: TopKReducer | None = None,
     ) -> tuple[np.ndarray, int]:
-        """Run the configured completion+scoring path on one round.
+        """Complete and score one round through :func:`score_round`.
 
-        Returns ``(scores, executed_score_cells)``.  The fused path scores
-        only the mask-compacted positions (and accounts exactly those),
-        serves completed triplets through the executor's ``full3`` hook,
-        and records the ``epi4_applyscore_*`` series; the dense ablation
-        path reproduces the legacy full-grid behaviour.  With a reducer
+        Returns ``(scores, executed_score_cells)``.  Only the
+        mask-compacted positions are scored (and accounted), completed
+        triplets are served through the executor's ``full3`` hook, and
+        the ``epi4_applyscore_*`` series are recorded.  With a reducer
         and pruning active, the bound-first gate drops positions that
         provably cannot enter the top-k before completion runs.
         """
         chunk_cells = self._tuned_chunk_cells
         if self._pressure is not None:
             chunk_cells = self._pressure.effective_chunk_cells(chunk_cells)
-        if self.config.score_path == "dense":
-            scores = apply_score_dense(
-                operands,
-                self._low.pairs,
-                self._score_min,
-                self.scheme.n_real_snps,
-                max_chunk_cells=chunk_cells,
-            )
-            return scores, operands.block_size ** 4 * 81 * 2
         prune = reducer is not None and self._prune_active()
         scores, stats = score_round(
             operands,
@@ -1431,7 +1325,7 @@ class Epi4TensorSearch:
                     operands, self.encoded.n_controls, self.encoded.n_cases
                 )
             with self._phase_scope("score", executor.device_id, span="derive"):
-                scores, cells = self._apply_score_path(
+                scores, cells = self._complete_and_score(
                     executor, operands, reducer=reducer
                 )
             if self.config.selfcheck:
@@ -1476,7 +1370,7 @@ class Epi4TensorSearch:
             # completions come from the independent corners, unshared.
             # The bound gate stays active — the independent corners are
             # exact, so the bound is just as admissible on them.
-            scores, cells = self._apply_score_path(
+            scores, cells = self._complete_and_score(
                 executor, safe, triplet_cache=False, reducer=reducer
             )
         if self.config.selfcheck:

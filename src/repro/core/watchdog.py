@@ -34,6 +34,7 @@ that never returns, cancelled by deadline.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -90,8 +91,10 @@ class LaunchWatchdog:
         deadline_ms: float,
         on_trip: Callable[[int, str], None] | None = None,
     ) -> None:
-        if deadline_ms <= 0:
-            raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
+        if not 0 < deadline_ms < math.inf:
+            raise ValueError(
+                f"deadline_ms must be finite and > 0, got {deadline_ms}"
+            )
         self.deadline_ms = float(deadline_ms)
         self._on_trip = on_trip
         self._lock = threading.Lock()
@@ -173,7 +176,12 @@ class LaunchWatchdog:
                 if not expired:
                     if self._active:
                         horizon = min(t.deadline for t in self._active) - now
-                        self._wake.wait(timeout=max(horizon, 0.001))
+                        # A huge finite deadline would overflow the wait.
+                        self._wake.wait(
+                            timeout=min(
+                                max(horizon, 0.001), threading.TIMEOUT_MAX
+                            )
+                        )
                     else:
                         # Idle: park until a new guard registers or close().
                         self._wake.wait(timeout=1.0)

@@ -38,10 +38,9 @@ class SearchWorkload:
         combine_bit_ops: bitwise AND volume of all ``combine`` launches.
         pairwise_ops: plane-dot volume of ``pairwPop``.
         score_cells: 81-cell-table cells completed and scored by the
-            mask-first compacted ``applyScore`` (the default path): every
-            *unique* combination is valid in exactly one round, so the
-            total is ``81 * 2 * C(M_real, 4)``.  The legacy dense path
-            materializes the full grid — see :attr:`score_cells_dense`.
+            mask-first compacted ``applyScore``: every *unique*
+            combination is valid in exactly one round, so the total is
+            ``81 * 2 * C(M_real, 4)``.
         transfer_bytes: dataset bytes shipped to one device.
         n_rounds: evaluation rounds.
         quads_processed: positional quads (incl. repeats).
@@ -74,19 +73,6 @@ class SearchWorkload:
     def tensor_ops(self) -> int:
         """All tensor-core fused-op volume."""
         return self.tensor4_ops + self.tensor3_ops
-
-    @property
-    def score_cells_dense(self) -> int:
-        """Cells materialized by the legacy dense ``applyScore`` path, which
-        completes the full ``B^4`` grid of every round before masking."""
-        return self.n_rounds * self.block_size**4 * 81 * 2
-
-    @property
-    def compaction_ratio(self) -> float:
-        """Fraction of dense score cells the mask-first path actually
-        completes and scores.  Equals :attr:`useful_fraction` because each
-        unique combination is valid in exactly one round."""
-        return self.score_cells / self.score_cells_dense
 
     @property
     def useful_fraction(self) -> float:

@@ -153,12 +153,6 @@ def format_search_report(
                 f"({100 * frac:.1f}% of mask-valid) dropped before "
                 "completion (bit-identical top-k)"
             )
-            synced = m.total("epi4_prune_sync_total")
-            if synced:
-                add(
-                    f"  threshold exchange  : {int(synced):,} cross-shard "
-                    "sync beat(s)"
-                )
         add("")
 
     if result.metrics is not None:
@@ -357,10 +351,6 @@ def format_merged_report(merged) -> str:
         # workers, prune-off shards): total() is 0 for absent series.
         pruned = m.total("epi4_prune_quads_total")
         if pruned:
-            synced = int(m.total("epi4_prune_sync_total"))
-            add(
-                f"  bound pruning       : {int(pruned):,} quads pruned, "
-                f"{synced} threshold sync beat(s)"
-            )
+            add(f"  bound pruning       : {int(pruned):,} quads pruned")
         add("")
     return "\n".join(lines)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, settings
 
 from repro.core.journal import _read_frame
 from repro.datasets import Dataset, generate_random_dataset
+from tests.score_oracle import score_round_dense
 
 # Single-core CI-friendly hypothesis profile: enough examples to matter,
 # bounded runtime.  A deeper profile is available for scheduled fuzz jobs
@@ -69,6 +71,23 @@ def rewind_journal():
         return kept
 
     return rewind
+
+
+@pytest.fixture()
+def dense_score_oracle(monkeypatch):
+    """Context manager: searches run inside it score every round through
+    the full-grid oracle (:func:`tests.score_oracle.score_round_dense`)
+    instead of the fused :func:`~repro.core.apply_score.score_round`."""
+
+    @contextmanager
+    def oracle():
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.core.search.score_round", score_round_dense
+            )
+            yield
+
+    return oracle
 
 
 @pytest.fixture()

@@ -5,8 +5,8 @@ Three claims are locked in here:
 1. **Bit-identity** — the mask-first compacted :func:`score_round` (with or
    without the staged-lgamma kernel, with or without the cross-round
    triplet provider, at any chunk size) produces *exactly* the grid of the
-   legacy dense reference :func:`apply_score_dense`, across orders of
-   block overlap, padding alignments, engines and modes.
+   full-grid oracle :func:`tests.score_oracle.apply_score_dense`, across
+   orders of block overlap, padding alignments, engines and modes.
 2. **Compaction accounting** — the per-round stats report exactly the
    validity-mask volume, and zero-valid rounds exit before any completion
    work (no ``full3`` requests at all).
@@ -24,7 +24,6 @@ import pytest
 
 from repro.core.apply_score import (
     RoundScoreStats,
-    apply_score_dense,
     round_validity_mask,
     score_round,
 )
@@ -34,6 +33,7 @@ from repro.core.selfcheck import direct_round_operands
 from repro.datasets import encode_dataset, generate_random_dataset
 from repro.scoring import K2Score
 from repro.scoring.base import normalized_for_minimization
+from tests.score_oracle import apply_score_dense
 
 
 def _setup(n_snps=20, n_samples=112, block_size=4, seed=11):

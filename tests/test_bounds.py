@@ -18,17 +18,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.apply_score import (
-    RoundOperands,
-    apply_score_dense,
-    round_validity_mask,
-)
+from repro.core.apply_score import RoundOperands, round_validity_mask
 from repro.core.pairwise import pairw_pop
 from repro.core.selfcheck import direct_round_operands
 from repro.datasets import encode_dataset, generate_random_dataset
 from repro.scoring import K2Score, PRUNE_SLACK, K2BoundKernel
 from repro.scoring.base import normalized_for_minimization
 from repro.scoring.lgamma_table import LgammaTable
+from tests.score_oracle import apply_score_dense
 
 # Same overlap-order coverage as the fused applyScore suite: distinct
 # blocks, shared pairs, triples, the diagonal, and padding-touching tails.

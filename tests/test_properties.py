@@ -636,13 +636,11 @@ class TestBoundAdmissibility:
     @given(ds=datasets(min_snps=4, max_snps=10), seed=st.integers(0, 2**16))
     @settings(max_examples=12, deadline=None)
     def test_bound_below_exact_everywhere(self, ds, seed):
-        from repro.core.apply_score import (
-            apply_score_dense,
-            round_validity_mask,
-        )
+        from repro.core.apply_score import round_validity_mask
         from repro.core.pairwise import pairw_pop
         from repro.core.selfcheck import direct_round_operands
         from repro.scoring import PRUNE_SLACK, K2BoundKernel, K2Score
+        from tests.score_oracle import apply_score_dense
         from repro.scoring.base import normalized_for_minimization
 
         b = 4

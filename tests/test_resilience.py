@@ -54,6 +54,14 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_backoff_base_rejected(self, bad):
+        # SearchConfig lifts the cap to max(5000, base), so the cap check
+        # alone let inf through (crashing the first retry in time.sleep)
+        # and nan too (logging wait_seconds=nan).
+        with pytest.raises(ValueError, match="backoff_base_ms"):
+            RetryPolicy(backoff_base_ms=bad, backoff_cap_ms=float("inf"))
+
     def test_negative_attempt_rejected(self):
         with pytest.raises(ValueError):
             RetryPolicy().backoff_seconds(-1, random.Random(0))

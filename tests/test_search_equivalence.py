@@ -210,19 +210,23 @@ class TestCheckpointResume:
 
 class TestFusedScorePathEquivalence:
     """The fused applyScore (mask-first compaction + staged scorer +
-    cross-round triplet reuse) must be bit-identical to the dense legacy
-    path, with or without the triplet cache, chunking, autotune or faults.
+    cross-round triplet reuse) must be bit-identical to the full-grid
+    oracle, with or without the triplet cache, chunking, autotune or
+    faults.
     """
 
     @pytest.mark.parametrize("engine_kind", ["and_popc", "xor_popc"])
     @pytest.mark.parametrize("mode", ["dense", "packed"])
-    def test_dense_path_matches_fused_grid(self, engine_kind, mode):
+    def test_dense_path_matches_fused_grid(
+        self, engine_kind, mode, dense_score_oracle
+    ):
         ds = generate_random_dataset(14, 120, seed=17)
         base = dict(
             block_size=4, engine_kind=engine_kind, engine_mode=mode, top_k=4
         )
         fused = _run(ds, cache_mb=float("inf"), **base)
-        dense = _run(ds, score_path="dense", **base)
+        with dense_score_oracle():
+            dense = _run(ds, **base)
         _assert_identical(fused, dense)
 
     def test_triplet_cache_off_matches_on(self):
@@ -301,17 +305,13 @@ class TestFusedScorePathEquivalence:
         # Executed score cells follow the compacted volume.
         assert res.counters.score_cells == scheme.unique_quads * 81 * 2
 
-    def test_dense_path_keeps_dense_accounting(self):
-        ds = generate_random_dataset(16, 120, seed=3)
-        res = _run(ds, block_size=4, score_path="dense")
-        wl = search_workload(res.block_scheme.n_snps, 120, 4)
-        assert res.counters.score_cells == wl.score_cells_dense
-
-    def test_fused_paths_match_under_faults(self):
+    def test_fused_paths_match_under_faults(self, dense_score_oracle):
         # Degraded rounds purge the round's triplets and rebuild through
-        # the independent path — still bit-identical to the dense baseline.
+        # the independent path — still bit-identical to the full-grid
+        # oracle.
         ds = generate_random_dataset(16, 120, seed=21)
-        dense = _run(ds, block_size=4, top_k=3, score_path="dense")
+        with dense_score_oracle():
+            dense = _run(ds, block_size=4, top_k=3)
         spec = "corrupt:count=3;seed=5"
         fused = _run(
             ds,
@@ -368,13 +368,10 @@ class TestPruneEquivalence:
             dict(batch_rounds=8),
             dict(batch_rounds=3),
             dict(batch_rounds=8, cache_mb=float("inf")),
-            dict(score_path="dense"),
         ],
-        ids=["batched", "batched-3", "batched-cached", "dense-path"],
+        ids=["batched", "batched-3", "batched-cached"],
     )
     def test_pipeline_variants(self, extra):
-        # score_path="dense" never prunes (the gate is fused-path only);
-        # it rides along to pin the config knob as result-neutral there.
         ds = generate_random_dataset(16, 140, seed=13)
         base = dict(block_size=4, top_k=3)
         off = _run(ds, prune=False, **base)

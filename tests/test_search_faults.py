@@ -14,6 +14,7 @@ matrix (``EPI4TENSOR_FAULT_SEED``).
 """
 
 import os
+import threading
 import warnings
 
 import pytest
@@ -307,6 +308,18 @@ class TestHangWatchdog:
         assert _solutions(timed) == _solutions(baseline)
         assert search.fault_log.total_watchdog_trips == 0
 
+    def test_huge_deadline_keeps_monitor_alive(self, monkeypatch):
+        # A finite deadline beyond threading.TIMEOUT_MAX must not crash
+        # the monitor thread on its wait (which would leave a watchdog
+        # that can never cancel a hang).
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        ds = _dataset()
+        _, baseline = _run(ds)
+        search, timed = _run(ds, deadline_ms=1e300)
+        assert raised == []
+        assert _solutions(timed) == _solutions(baseline)
+
 
 class TestMemoryPressure:
     """Acceptance: oom faults walk the degradation ladder instead of
@@ -355,7 +368,7 @@ class TestMemoryPressure:
 
 
 class TestElasticConfigValidation:
-    @pytest.mark.parametrize("bad", [0.0, -5.0])
+    @pytest.mark.parametrize("bad", [0.0, -5.0, float("inf")])
     def test_bad_deadline_rejected(self, bad):
         with pytest.raises(ValueError, match="deadline_ms"):
             SearchConfig(deadline_ms=bad)

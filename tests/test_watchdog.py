@@ -21,6 +21,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="deadline_ms"):
             LaunchWatchdog(bad)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_deadline_rejected(self, bad):
+        with pytest.raises(ValueError, match="deadline_ms"):
+            LaunchWatchdog(bad)
+
     def test_guard_after_close_rejected(self):
         dog = LaunchWatchdog(50.0)
         dog.close()
